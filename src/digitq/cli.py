@@ -83,12 +83,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="report directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both",
                    help="report files to write under --out")
+    p.set_defaults(parser=p)
 
 
 def _config_for(args) -> StateConfig:
     if args.length is None:
         return default_config()
-    return StateConfig(champernowne(2, args.length), n_max=min(args.depth, 12),
+    n_max = min(args.depth, 12)
+    block = 1 << (n_max + 2)
+    if args.length < 1 or args.length % block:
+        args.parser.error(
+            f"--length {args.length} must be a positive multiple of 2^(n_max+2) = "
+            f"{block}, where n_max = min(--depth, 12) = {n_max}")
+    return StateConfig(champernowne(2, args.length), n_max=n_max,
                        target_length=args.length // 4)
 
 

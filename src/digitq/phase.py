@@ -20,6 +20,19 @@ The depth-n recursion for general p reproduces the p = 2 family and the
 p = 3 printed forms exactly; the general-p definition is this module's
 extrapolation of that self-similarity, property-tested for the cube and
 square root towers.
+
+In closed form the tower is a p-adic odometer (the von Neumann-Kakutani
+adding machine) acting on places.  Let rev be the base-p digit reversal
+of a place index over n places.  One application of omega_root(p, n)
+subtracts 1 from rev(j) with borrows, and the borrow out of the top
+place adds 1 to the digit.  So omega_root(p, n)**m, for any m >= 0, has
+
+    perm[j]  = rev((rev(j) - m) mod p^n)
+    shift[j] = (-floor((rev(j) - m) / p^n)) mod p
+
+and order p^(n+1).  Rotations are built from this formula in one pass;
+``compose`` and ``operator_pow`` remain as the algebra the formula is
+tested against.
 """
 
 from __future__ import annotations
@@ -282,11 +295,35 @@ def apply(op: BlockOperator, s: DigitString) -> DigitString:
     return DigitString(s.base, out.ravel().astype(s.digits.dtype), _validate=False)
 
 
+@lru_cache(maxsize=None)
+def _digit_reversal(p: int, n: int) -> np.ndarray:
+    """rev[j]: the n base-p digits of the place index j in reverse order."""
+    j = np.arange(p ** n, dtype=np.int64)
+    rev = np.zeros_like(j)
+    for _ in range(n):
+        rev = rev * p + j % p
+        j //= p
+    rev.flags.writeable = False
+    return rev
+
+
+def _odometer(p: int, n: int, m, places=None) -> tuple[np.ndarray, np.ndarray]:
+    """Source places and digit shifts of omega_root(p, n)**m (see the
+    module docstring), at ``places`` (default: every place of the block).
+
+    ``m`` may be an integer array; it broadcasts against ``places``, so a
+    column of exponents gives one row per power.
+    """
+    rev = _digit_reversal(p, n)
+    t = (rev if places is None else rev[places]) - m
+    size = p ** n
+    return rev[t % size], -(t // size) % p
+
+
 @lru_cache(maxsize=1024)
 def _rotation_operator_cached(p: int, e: int, n: int) -> BlockOperator:
-    if n <= 1:
-        return BlockOperator(p, np.array([0]), np.array([e % p]), _validate=False)
-    return operator_pow(omega_root(p, n - 1), e)
+    perm, shift = _odometer(p, n - 1, e)
+    return BlockOperator(p, perm, shift, _validate=False)
 
 
 def rotation_operator(q: PAdicRational) -> BlockOperator:
@@ -301,8 +338,6 @@ def rotation_operator(q: PAdicRational) -> BlockOperator:
     n, m = q.depth, q.numerator
     if n == 0:
         return identity_operator(p, 1)
-    if n == 1:
-        return _rotation_operator_cached(p, m % p, 1)
     return _rotation_operator_cached(p, m % p ** n, n)
 
 

@@ -52,6 +52,12 @@ class TestStateCommand:
         assert rc == 0
         assert ".00000000" in out
 
+    def test_length_off_the_block_rule_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["polarization", "--theta", "1/3pi", "--length", "1000"])
+        assert exc.value.code == 2
+        assert "2^(n_max+2) = 16384" in capsys.readouterr().err
+
     def test_off_grid_exit_code(self, capsys):
         rc = main(["state", "qubit", "--theta", "1/2pi", "--lambda", "1/3pi"])
         err = capsys.readouterr().err

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from digitq.digits import phi_shift
+from digitq.digits import champernowne, phi_shift
+from digitq.errors import OffGrid
 from digitq.experiments import (SampleGrid, binomial_tolerance,
                                 epr_correlation, epr_experiment,
                                 index_partition, interference_experiment,
@@ -14,7 +15,7 @@ from digitq.experiments import (SampleGrid, binomial_tolerance,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
                                 _qutrit_leading_digit)
-from digitq.phase import PAdicRational
+from digitq.phase import PAdicRational, phase_rotate
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, default_config,
                            default_qutrit_config, qubit_state, qutrit_state,
@@ -81,6 +82,13 @@ class TestEPR:
         expected = math.cos(math.pi / 6) ** 2
         assert abs(flipped - expected) < 2 ** -9
 
+    @pytest.mark.parametrize("N", [1 << 10, 1000])
+    @pytest.mark.parametrize("dtheta", ["0", "1/4", "1/3", "1/2", "3/4", "1"])
+    def test_closed_form_matches_ensemble(self, dtheta, N):
+        rep = epr_experiment(Fraction(dtheta), N=N)
+        oracle = epr_correlation(make_epr_ensemble(Fraction(dtheta), N))
+        assert rep.statistics[0].observed == oracle
+
     def test_correlation_at_pi_third(self):
         rep = epr_experiment(Fraction(1, 3), N=1 << 12)
         assert rep.statistics[0].deviation <= 0.03
@@ -101,19 +109,41 @@ class TestPolarization:
         assert rep.statistics[0].deviation <= 0.02
 
     def test_matches_full_constructor_on_subsample(self):
-        # the windowed fast path equals the leading digit of the real state
+        # the windowed fast path equals the leading digit of the real state;
+        # depths 1 and 4 have operator blocks shorter than the 64-digit window
         cfg = default_config()
-        grid = SampleGrid(depth=8)
         theta = Fraction(1, 5)
         from digitq.experiments import _cached_windows
         from digitq.reduction import BinaryThreshold
         thr = BinaryThreshold.from_angle(theta)
-        windows = _cached_windows(cfg.seed_string, 8)
         rng = make_rng(0)
-        for j in rng.integers(0, 1 << 8, size=12):
-            s = qubit_state(cfg, BlochPoint(theta, PAdicRational(2, int(j), 8)))
-            fast_lead0 = bool(windows[int(j)] < np.uint64(thr.t_int))
-            assert (s.leading_digit == 0) == fast_lead0
+        for depth in (1, 4, 8):
+            windows = _cached_windows(cfg.seed_string, depth)
+            for j in rng.integers(0, 1 << depth, size=12):
+                q = PAdicRational(2, int(j), depth)
+                rotated = phase_rotate(cfg.seed_string, q).digits[:64]
+                assert windows[int(j)] == int("".join(map(str, rotated)), 2)
+                s = qubit_state(cfg, BlochPoint(theta, q))
+                fast_lead0 = bool(windows[int(j)] < np.uint64(thr.t_int))
+                assert (s.leading_digit == 0) == fast_lead0
+
+    def test_window_cache_compares_seeds_by_equality(self):
+        from digitq.experiments import _cached_windows, _grid_leading_windows
+        a = champernowne(2, 1 << 12)
+        b = phi_shift(a, 1)
+        for s in (a, b):
+            object.__setattr__(s, "_hash", 12345)
+        assert hash(a) == hash(b)
+        wa = _cached_windows(a, 6)
+        wb = _cached_windows(b, 6)
+        assert np.array_equal(wa, _grid_leading_windows(a, 6))
+        assert np.array_equal(wb, _grid_leading_windows(b, 6))
+        assert not np.array_equal(wa, wb)
+
+    def test_depth_beyond_n_max_is_off_grid(self):
+        with pytest.raises(OffGrid):
+            polarization_experiment(Fraction(1, 3), SampleGrid(depth=13),
+                                    default_config())
 
     def test_sampled_mode(self):
         rep = polarization_experiment(Fraction(1, 3),
@@ -172,6 +202,10 @@ class TestInterference:
         assert by_name["blocked output leading-1 violations"].observed == 0
         assert by_name["two-arm constant-1 violations"].observed == 0
         assert by_name["freq[transmitted detection]"].deviation <= 0.02
+
+    def test_depth_beyond_n_max_is_off_grid(self):
+        with pytest.raises(OffGrid):
+            interference_experiment(SampleGrid(depth=13), default_config())
 
 
 class TestWeakReduction:

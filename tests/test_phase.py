@@ -194,6 +194,18 @@ class TestPhaseRotate:
         r = phase_rotate(s, PAdicRational(2, 1, 1))
         assert (s.value() < Fraction(1, 2)) == (r.value() >= Fraction(1, 2))
 
+    @pytest.mark.parametrize("p,n", [(2, n) for n in range(1, 8)]
+                             + [(3, n) for n in range(1, 6)]
+                             + [(5, n) for n in range(1, 4)])
+    def test_closed_form_matches_operator_pow(self, p, n):
+        # the odometer formula against repeated squaring of the root, for
+        # every numerator up to p^n + 2 (PAdicRational reduces m/p^n, so
+        # the rotation is tiled up to the root's block before comparing)
+        root = omega_root(p, n - 1)
+        for m in range(p ** n + 3):
+            op = extend_to(rotation_operator(PAdicRational(p, m, n)), root.size)
+            assert op == operator_pow(root, m), m
+
     def test_exponent_reduced_mod_order(self):
         s = champernowne(2, 256)
         assert phase_rotate(s, PAdicRational(2, 5, 2)) == \
