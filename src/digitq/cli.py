@@ -72,14 +72,17 @@ def _exit_code(reports: list) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, depth: bool = False,
+                length: bool = False) -> None:
+    """Flags of every subcommand, plus --depth and --length for the
+    subcommands that read them."""
     p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    p.add_argument("--depth", type=int, default=12,
-                   help="dyadic longitude grid depth K (grid 2pi j / 2^K)")
-    p.add_argument("--length", type=int, default=None,
-                   help="seed string length override (power of two)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; aggregation order is deterministic")
+    if depth:
+        p.add_argument("--depth", type=int, default=12,
+                       help="dyadic longitude grid depth K (grid 2pi j / 2^K)")
+    if length:
+        p.add_argument("--length", type=int, default=None,
+                       help="seed string length override (power of two)")
     p.add_argument("--out", type=Path, default=None, help="report directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both",
                    help="report files to write under --out")
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
                        help="frequency of north-pole reduction vs cos^2(theta/2)")
     p.add_argument("--theta", type=parse_angle, required=True,
                    help="co-latitude as a multiple of pi, e.g. 1/3pi")
-    _add_common(p)
+    _add_common(p, depth=True, length=True)
 
     p = sub.add_parser("trace-rule",
                        help="3-level attractor frequencies vs the trace rule")
@@ -118,7 +121,7 @@ def main(argv=None) -> int:
     p.add_argument("--theta2", type=parse_angle, required=True)
     p.add_argument("--samples", type=int, default=1 << 12)
     p.add_argument("--depth3", type=int, default=7, help="triadic grid depth")
-    _add_common(p)
+    _add_common(p, depth=True)
 
     p = sub.add_parser("epr", help="pair correlation vs -cos(dtheta)")
     p.add_argument("--dtheta", type=parse_angle, required=True,
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("interference",
                        help="beamsplitter and single-arm interferometer statistics")
-    _add_common(p)
+    _add_common(p, depth=True, length=True)
 
     p = sub.add_parser("weak-reduction",
                        help="jittered-walk absorption vs cos^2(theta0/2)")
@@ -152,7 +155,7 @@ def main(argv=None) -> int:
     pq.add_argument("--lambda", dest="lam", type=parse_angle, required=True)
     pq.add_argument("--prefix", type=int, default=64,
                     help="number of digits to print")
-    _add_common(pq)
+    _add_common(pq, depth=True, length=True)
     pt = st.add_parser("qutrit")
     pt.add_argument("--theta1", type=parse_angle, required=True)
     pt.add_argument("--theta2", type=parse_angle, required=True)
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
     p.add_argument("--negative-control", action="store_true",
                    help="corrupt the seed string; statistics must fail, "
                         "algebra must pass")
-    _add_common(p)
+    _add_common(p, depth=True)
 
     args = ap.parse_args(argv)
     try:
@@ -197,8 +200,7 @@ def _dispatch(args) -> int:
         rep = trace_rule_experiment(args.theta1, args.theta2,
                                     SampleGrid(depth=args.depth3, base=3),
                                     SampleGrid(depth=args.depth),
-                                    n_samples=args.samples, seed=args.seed,
-                                    threads=args.threads)
+                                    n_samples=args.samples, seed=args.seed)
         _write_reports([rep], args.out, args.format)
         return _exit_code([rep])
 
@@ -274,7 +276,7 @@ def _run_suite(args) -> int:
                          (Fraction(1), Fraction(1, 4))):
             reports.append(trace_rule_experiment(
                 th1, th2, SampleGrid(depth=7, base=3), SampleGrid(depth=12),
-                n_samples=args.samples, seed=args.seed, threads=args.threads))
+                n_samples=args.samples, seed=args.seed))
     for dth in (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                 Fraction(3, 4), Fraction(1)):
         reports.append(epr_experiment(dth, seed=args.seed))

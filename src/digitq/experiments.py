@@ -32,18 +32,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, cos, log2, pi, sin, sqrt
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .digits import DigitString, champernowne, phi_shift
-from .errors import DegenerateStatistic, NonConvergence, OffGrid
+from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
+                     NonConvergence, OffGrid, SuffixTooShort)
 from .phase import (PAdicRational, _odometer, apply as apply_operator, compose,
                     omega_root, rotation_operator)
 from .reduction import BinaryThreshold, reduce_compound, weak_reduction_walk
 from .rng import derive_seed, make_rng
-from .states import (StateConfig, beamsplitter_pair, blocked_mz_output,
-                     default_config, default_qutrit_config, full_mz_output)
+from .states import (QutritAngles, StateConfig, _qutrit_pipeline,
+                     beamsplitter_pair, blocked_mz_output, default_config,
+                     default_qutrit_config, full_mz_output, qutrit_thresholds)
 
 __all__ = [
     "SampleGrid",
@@ -235,7 +237,7 @@ def _freq_below_half(cfg: StateConfig, theta, grid: SampleGrid) -> float:
 
     The first surviving digit of the reduced string is lo exactly when
     the rotated value is below the threshold, so the statistic reduces to
-    comparing leading 64-digit windows against the threshold integer.
+    comparing leading 64-digit windows against the threshold.
     """
     thr = BinaryThreshold.from_angle(theta)
     windows = _cached_windows(cfg.seed_string, grid.depth)
@@ -243,10 +245,7 @@ def _freq_below_half(cfg: StateConfig, theta, grid: SampleGrid) -> float:
         sel = windows
     else:
         sel = windows[grid.numerators()]
-    if thr.is_one:
-        return 1.0
-    t64 = thr.t_int << (64 - thr.bits) if thr.bits < 64 else thr.t_int
-    return float(np.mean(sel < np.uint64(t64)))
+    return float(np.mean(~thr.at_or_below(sel)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +278,6 @@ def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThres
     """Leading digit of the three-level state, evaluated on a growing seed
     prefix through the same pipeline as the constructor (exact: deletion
     decisions are local to their suffixes, blocks rotate independently)."""
-    from .errors import EmptyResult, LengthNotDivisible, SuffixTooShort
-    from .states import _qutrit_pipeline
     prefix = 8192
     L = len(cfg.seed_string)
     while True:
@@ -307,23 +304,19 @@ def trace_rule_expectations(theta1, theta2) -> tuple[float, float, float]:
 
 def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
                           cfg: Optional[StateConfig] = None, n_samples: int = 1 << 12,
-                          seed: int = 0, threads: int = 1) -> ExperimentReport:
+                          seed: int = 0) -> ExperimentReport:
     """Attractor frequencies of the compound reduction over sampled
     (triadic, dyadic) longitude pairs versus the trace rule."""
     cfg = cfg or default_qutrit_config()
     t0 = time.perf_counter()
-    from .states import QutritAngles, qutrit_thresholds
     t1, t2 = qutrit_thresholds(QutritAngles(theta1, theta2, Fraction(0), Fraction(0)))
     rng = make_rng(seed)
     e1s = rng.integers(0, grid1.modulus, size=n_samples)
     e2s = rng.integers(0, grid2.modulus, size=n_samples)
-
-    def one(i: int) -> int:
-        q1 = PAdicRational(3, int(e1s[i]), grid1.depth)
-        q2 = PAdicRational(2, int(e2s[i]), grid2.depth)
-        return _qutrit_leading_digit(cfg, t1, t2, q1, q2)
-
-    leads = _parallel_map(one, range(n_samples), threads)
+    leads = [_qutrit_leading_digit(cfg, t1, t2,
+                                   PAdicRational(3, int(e1), grid1.depth),
+                                   PAdicRational(2, int(e2), grid2.depth))
+             for e1, e2 in zip(e1s, e2s)]
     counts = np.bincount(np.array(leads, dtype=np.int64), minlength=3)
     rhos = trace_rule_expectations(theta1, theta2)
     stats = []
@@ -604,6 +597,8 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
                               n_max=cfg_main.n_max,
                               target_length=cfg_main.target_length)
     grid = SampleGrid(depth=10)
+    _check_grid_depth(grid, cfg_main)
+    _check_grid_depth(grid, cfg_alt)
     # thresholds with deep binary expansions: the grid's root-of-unity
     # orbits force leading one- and two-bit window patterns to be exactly
     # uniform for any seed, so angles like pi/3 (threshold .11) cannot
@@ -670,18 +665,3 @@ def operator_algebra_checks(seed: int = 0, n_strings: int = 1000,
     return ExperimentReport("operator_algebra", {"strings": n_strings,
                                                  "length": length},
                             n_strings, stats, seed, time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# shared plumbing
-
-
-def _parallel_map(fn: Callable, items, threads: int) -> list:
-    """Ordered map, optionally fanned out over a thread pool; results are
-    always aggregated in input order so reports stay bit-exact."""
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

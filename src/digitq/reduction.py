@@ -11,13 +11,14 @@ suffix is strictly below t, a lo digit when its suffix is at or above t
 (ties side with >=).  At t = 1/2 nothing is deleted; at t = 1 only lo
 digits survive; at t = 0 only hi digits survive.
 
-Comparisons are exact for the finite string: the suffix, zero-padded, is
-compared against the 64-digit threshold, and since the threshold has no
-digits beyond its precision the comparison is always decided within the
-window.  A useful consequence, used throughout the experiments: the first
-surviving digit is lo exactly when the whole-string value is below t
-(deleting a hi digit with suffix < t keeps the next suffix below t, and a
-lo digit below t is kept on the spot, symmetrically for >=).
+Comparisons are exact for the finite string: ``BinaryThreshold.at_or_below``
+compares the suffix's 64-digit window, zero-padded, against the threshold,
+and since the threshold has no digits beyond the window the comparison is
+always decided within it.  A useful consequence, used throughout the
+experiments: the first surviving digit is lo exactly when the
+whole-string value is below t (deleting a hi digit with suffix < t keeps
+the next suffix below t, and a lo digit below t is kept on the spot,
+symmetrically for >=).
 
 The drift equation dtheta/dt = alpha (r - 1/2) sin(theta) closes the
 loop: r is recomputed from the current theta each Euler step, and because
@@ -79,14 +80,15 @@ class BinaryThreshold:
     value (normally cos^2(theta/2)); the construction error is below
     2**-bits.  Angles given as Fractions are exact multiples of pi, so
     thresholds like 1/2 at theta = pi/2 come out exact; floats are taken
-    as radians.
+    as radians.  The precision is 32 to 64 bits, so the threshold fits
+    the 64-digit comparison window.
     """
 
     __slots__ = ("bits", "t_int", "is_one")
 
     def __init__(self, t_int: int, bits: int = THRESHOLD_BITS):
-        if bits < 32:
-            raise ValueError("threshold precision must be at least 32 bits")
+        if not 32 <= bits <= 64:
+            raise ValueError("threshold precision must be 32 to 64 bits")
         if not (0 <= t_int <= 1 << bits):
             raise ValueError("t_int out of range")
         self.bits = bits
@@ -132,6 +134,18 @@ class BinaryThreshold:
         if j > self.bits:
             return 0
         return (self.t_int >> (self.bits - j)) & 1
+
+    def at_or_below(self, windows: np.ndarray) -> np.ndarray:
+        """Boolean array of t <= w for 64-digit suffix windows w (uint64,
+        the digits .b_j ... b_(j+63) scaled by 2^64).
+
+        Exact: the threshold has no digits beyond the window, so w < t
+        decides suffix < t and w >= t decides suffix >= t whatever digits
+        follow; the exact-one threshold lies above every suffix.
+        """
+        if self.is_one:
+            return np.zeros(windows.shape, dtype=bool)
+        return windows >= np.uint64(self.t_int << (64 - self.bits))
 
     def __repr__(self) -> str:
         if self.is_one:
@@ -226,33 +240,24 @@ def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
 
 
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
-    """Boolean mask: suffix at position j (zero padded) >= threshold.
-
-    Exact: the threshold carries at most 64 binary digits, so w_j < T
-    decides strictly-below and w_j >= T decides at-or-above regardless of
-    digits beyond the window.
-    """
+    """Boolean mask: suffix at position j (zero padded) >= threshold."""
     L = bits01.size
-    if thr.is_one:
-        return np.zeros(L, dtype=bool)
-    t64 = thr.t_int << (64 - thr.bits) if thr.bits < 64 else thr.t_int
-    if t64 == 0:
-        return np.ones(L, dtype=bool)
+    if thr.t_int == 0 or thr.is_one:
+        # t = 0 is at or below every suffix, t = 1 above every one
+        return np.full(L, thr.t_int == 0)
     padded = np.zeros(L + 64, dtype=np.uint8)
     padded[:L] = bits01
-    return _window_u64(padded, L) >= np.uint64(t64)
+    return thr.at_or_below(_window_u64(padded, L))
 
 
-def _deletion_mask(digits: np.ndarray, thr: BinaryThreshold,
-                   lo: int, hi: int) -> np.ndarray:
-    """Deletion mask of the two-symbol reduction rule.
+def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
+    """Deletion mask of the two-symbol reduction rule, given the boolean
+    hi indicator of the string.
 
-    hi deleted iff suffix < t, lo deleted iff suffix >= t; with b = (digit
-    == hi) this is b XOR (suffix >= t).
+    hi deleted iff suffix < t, lo deleted iff suffix >= t: hi XOR
+    (suffix >= t).
     """
-    bits = (digits == hi).astype(np.uint8)
-    ge = _suffix_ge_mask(bits, thr)
-    return bits.astype(bool) ^ ge
+    return hi_bits ^ _suffix_ge_mask(hi_bits, thr)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ def partial_reduce(s: DigitString, theta: AngleLike, lo: int = 0, hi: int = 1,
         raise SuffixTooShort(
             f"{len(s)} digits is below the {K_GUARD}-digit comparison guard")
     thr = BinaryThreshold.from_angle(theta)
-    return _compress(s, _deletion_mask(d, thr, lo, hi))
+    return _compress(s, _deletion_mask(d == hi, thr))
 
 
 def reduce_Rj(s: DigitString, j: int) -> ReductionOutcome:
@@ -347,15 +352,9 @@ def _reduced_prefix(s: DigitString, thr: BinaryThreshold, lo: int, hi: int,
     chunk = 4096
     while start < L and got < want:
         end = min(L, start + chunk)
-        lookahead = min(L, end + 64)
-        seg = d[start:lookahead]
-        bits = (seg == hi).astype(np.uint8)
-        padded = np.zeros((end - start) + 64, dtype=np.uint8)
-        padded[:bits.size] = bits
-        ge = _window_u64(padded, end - start) >= np.uint64(
-            thr.t_int << (64 - thr.bits) if thr.bits < 64 else thr.t_int) \
-            if not thr.is_one else np.zeros(end - start, dtype=bool)
-        keep = ~(padded[:end - start].astype(bool) ^ ge)
+        # the chunk plus the 64 digits its last windows read
+        seg = d[start:min(L, end + 64)]
+        keep = ~_deletion_mask(seg == hi, thr)[:end - start]
         survivors = seg[:end - start][keep]
         out.append(survivors)
         got += survivors.size

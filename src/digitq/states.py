@@ -31,9 +31,8 @@ from .errors import (EmptyResult, LengthNotDivisible, NotAnEigenstate, OffGrid,
 from .phase import (PAdicRational, apply as apply_operator, phase_rotate,
                     rotation_operator)
 from .reduction import (BinaryThreshold, K_GUARD, ReductionOutcome,
-                        _deletion_mask, _suffix_ge_mask,
-                        biased_quantile_threshold, partial_reduce, project,
-                        reduce_compound)
+                        _deletion_mask, biased_quantile_threshold,
+                        partial_reduce, project, reduce_compound)
 
 __all__ = [
     "BlochPoint",
@@ -229,7 +228,7 @@ def qutrit_thresholds(ang: QutritAngles) -> tuple[BinaryThreshold, BinaryThresho
     is the exact identity at cos^2(theta1/2) = w2.
     """
     t2 = BinaryThreshold.from_angle(ang.theta2)
-    u2 = Fraction(t2.t_int, 1 << t2.bits) if not t2.is_one else Fraction(1)
+    u2 = t2.value
     s1 = Fraction(1 + 2 * min(u2, 1 - u2), 2)
     w2 = Fraction(1, 3) / (Fraction(1, 3) + Fraction(2, 3) * s1)
     t1 = biased_quantile_threshold(ang.theta1, w2)
@@ -279,7 +278,7 @@ def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
         raise SuffixTooShort(
             f"{nz_idx.size} nonzero digits is below the {K_GUARD}-digit guard")
     sub = d[nz_idx]
-    del_sub = _deletion_mask(sub, t2, lo=1, hi=2)
+    del_sub = _deletion_mask(sub == 2, t2)
 
     keep = np.ones(d.size, dtype=bool)
     keep[nz_idx[del_sub]] = False
@@ -290,10 +289,7 @@ def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
         raise SuffixTooShort(
             f"{stage1.size} digits after stage 1 is below the {K_GUARD}-digit guard")
 
-    indicator = (stage1 != 0).astype(np.uint8)
-    ge = _suffix_ge_mask(indicator, t1)
-    del2 = indicator.astype(bool) ^ ge
-    final = stage1[~del2]
+    final = stage1[~_deletion_mask(stage1 != 0, t1)]
     if final.size == 0:
         raise EmptyResult("stage-2 reduction removed every digit")
     return DigitString(3, final, _validate=False)

@@ -39,7 +39,7 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["polarization", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--seed", "--depth", "--length", "--threads", "--out",
+        for flag in ("--seed", "--depth", "--length", "--out",
                      "--format", "--theta"):
             assert flag in out
 
@@ -57,6 +57,16 @@ class TestStateCommand:
             main(["polarization", "--theta", "1/3pi", "--length", "1000"])
         assert exc.value.code == 2
         assert "2^(n_max+2) = 16384" in capsys.readouterr().err
+
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys):
+        # only the subcommands that read --depth and --length take them
+        for argv in (["epr", "--dtheta", "1/2pi", "--length", "1000"],
+                     ["epr", "--dtheta", "1/2pi", "--depth", "3"],
+                     ["seed-invariance", "--length", "1000"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_off_grid_exit_code(self, capsys):
         rc = main(["state", "qubit", "--theta", "1/2pi", "--lambda", "1/3pi"])

@@ -17,9 +17,9 @@ from digitq.experiments import (SampleGrid, binomial_tolerance,
                                 _qutrit_leading_digit)
 from digitq.phase import PAdicRational, phase_rotate
 from digitq.rng import derive_seed, make_rng
-from digitq.states import (BlochPoint, QutritAngles, default_config,
-                           default_qutrit_config, qubit_state, qutrit_state,
-                           qutrit_thresholds)
+from digitq.states import (BlochPoint, QutritAngles, StateConfig,
+                           default_config, default_qutrit_config, qubit_state,
+                           qutrit_state, qutrit_thresholds)
 
 
 class TestIndexPartition:
@@ -169,12 +169,12 @@ class TestTraceRule:
                                     n_samples=128, seed=1)
         assert [s.observed for s in rep.statistics] == [1.0, 0.0, 0.0]
 
-    def test_thread_count_does_not_change_results(self):
+    def test_reproducible(self):
         kwargs = dict(theta1=Fraction(1, 2), theta2=Fraction(1, 4),
                       grid1=SampleGrid(depth=7, base=3),
                       grid2=SampleGrid(depth=12), n_samples=96, seed=8)
-        a = trace_rule_experiment(**kwargs, threads=1)
-        b = trace_rule_experiment(**kwargs, threads=4)
+        a = trace_rule_experiment(**kwargs)
+        b = trace_rule_experiment(**kwargs)
         assert a.to_json_dict()["statistics"] == b.to_json_dict()["statistics"]
 
     def test_fast_path_matches_constructor(self):
@@ -234,6 +234,14 @@ class TestSeedInvariance:
         a = seed_invariance_suite(seed=1)
         b = seed_invariance_suite(seed=1)
         assert a.to_json_dict()["statistics"] == b.to_json_dict()["statistics"]
+
+    def test_depth_beyond_n_max_is_off_grid(self):
+        # the suite sweeps a depth-10 grid; a depth-4 config has no states there
+        shallow = StateConfig(champernowne(2, 1 << 10), n_max=4)
+        with pytest.raises(OffGrid):
+            seed_invariance_suite(shallow)
+        with pytest.raises(OffGrid):
+            seed_invariance_suite(default_config(), shallow)
 
 
 class TestReports:

@@ -63,8 +63,12 @@ class TestBinaryThreshold:
         assert t.digit(1) == 1 and t.digit(2) == 0 and t.digit(100) == 0
 
     def test_min_precision(self):
+        # 32 to 64 bits: the threshold must fit the 64-digit window
+        for bits in (16, 65, 80):
+            with pytest.raises(ValueError):
+                BinaryThreshold(0, bits=bits)
         with pytest.raises(ValueError):
-            BinaryThreshold(0, bits=16)
+            BinaryThreshold.from_angle(Fraction(1, 3), bits=80)
 
 
 class TestBiasedQuantileThreshold:
