@@ -3,16 +3,21 @@
 Angles are entered as exact rational multiples of pi ("1/3pi", "pi",
 "0", "3/4pi"), never as floating-point degrees, so membership in the
 p-adic longitude grid is checkable before any state is built.  Every
-experiment takes a 64-bit --seed and writes a JSON report plus a CSV
-with one row per statistic; the same invocation (including seed)
-produces byte-identical CSV.  Exit status is 0 exactly when every
-statistic passed its tolerance.
+experiment writes a JSON report plus a CSV with one row per statistic
+under --out; the same invocation produces byte-identical CSV.  The
+experiments that draw random numbers (trace-rule, epr, weak-reduction,
+seed-invariance, suite) take a 64-bit --seed; polarization and
+interference sweep a fixed grid and take none, and `state` prints a
+state without writing reports.  A flag a subcommand would not read is
+a usage error.  Exit status is 0 exactly when every statistic passed
+its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -72,20 +77,23 @@ def _exit_code(reports: list) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_common(p: argparse.ArgumentParser, depth: bool = False,
-                length: bool = False) -> None:
-    """Flags of every subcommand, plus --depth and --length for the
-    subcommands that read them."""
-    p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+def _add_common(p: argparse.ArgumentParser, seed: bool = False, depth: bool = False,
+                length: bool = False, reports: bool = False) -> None:
+    """Shared flags, each given only to the subcommands that read it:
+    --seed, --depth, --length, and --out/--format for those writing
+    reports.  Any other flag is a usage error."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     if depth:
         p.add_argument("--depth", type=int, default=12,
                        help="dyadic longitude grid depth K (grid 2pi j / 2^K)")
     if length:
         p.add_argument("--length", type=int, default=None,
                        help="seed string length override (power of two)")
-    p.add_argument("--out", type=Path, default=None, help="report directory")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="both",
-                   help="report files to write under --out")
+    if reports:
+        p.add_argument("--out", type=Path, default=None, help="report directory")
+        p.add_argument("--format", choices=("json", "csv", "both"), default="both",
+                       help="report files to write under --out")
     p.set_defaults(parser=p)
 
 
@@ -113,7 +121,7 @@ def main(argv=None) -> int:
                        help="frequency of north-pole reduction vs cos^2(theta/2)")
     p.add_argument("--theta", type=parse_angle, required=True,
                    help="co-latitude as a multiple of pi, e.g. 1/3pi")
-    _add_common(p, depth=True, length=True)
+    _add_common(p, depth=True, length=True, reports=True)
 
     p = sub.add_parser("trace-rule",
                        help="3-level attractor frequencies vs the trace rule")
@@ -121,17 +129,17 @@ def main(argv=None) -> int:
     p.add_argument("--theta2", type=parse_angle, required=True)
     p.add_argument("--samples", type=int, default=1 << 12)
     p.add_argument("--depth3", type=int, default=7, help="triadic grid depth")
-    _add_common(p, depth=True)
+    _add_common(p, seed=True, depth=True, reports=True)
 
     p = sub.add_parser("epr", help="pair correlation vs -cos(dtheta)")
     p.add_argument("--dtheta", type=parse_angle, required=True,
                    help="detector misalignment as a multiple of pi")
     p.add_argument("--pairs", type=int, default=1 << 14)
-    _add_common(p)
+    _add_common(p, seed=True, reports=True)
 
     p = sub.add_parser("interference",
                        help="beamsplitter and single-arm interferometer statistics")
-    _add_common(p, depth=True, length=True)
+    _add_common(p, depth=True, length=True, reports=True)
 
     p = sub.add_parser("weak-reduction",
                        help="jittered-walk absorption vs cos^2(theta0/2)")
@@ -140,13 +148,13 @@ def main(argv=None) -> int:
     p.add_argument("--jitter-depth", type=int, default=10)
     p.add_argument("--alpha", type=float, default=4096.0)
     p.add_argument("--dt", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, seed=True, reports=True)
 
     p = sub.add_parser("seed-invariance",
                        help="statistics under the default vs an alternate seed")
     p.add_argument("--negative-control", action="store_true",
                    help="use a constant (non-normal) seed and expect failure")
-    _add_common(p)
+    _add_common(p, seed=True, reports=True)
 
     p = sub.add_parser("state", help="print a constructed state")
     st = p.add_subparsers(dest="state_kind", required=True)
@@ -172,7 +180,7 @@ def main(argv=None) -> int:
     p.add_argument("--negative-control", action="store_true",
                    help="corrupt the seed string; statistics must fail, "
                         "algebra must pass")
-    _add_common(p, depth=True)
+    _add_common(p, seed=True, depth=True, reports=True)
 
     args = ap.parse_args(argv)
     try:
@@ -256,7 +264,6 @@ def _print_state(args) -> int:
 def _run_suite(args) -> int:
     """The full statistics battery with the default tolerances."""
     t0 = time.perf_counter()
-    import math
     theta_star = 2 * math.acos(1 / math.sqrt(3))
     reports: list[ExperimentReport] = []
 

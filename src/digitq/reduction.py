@@ -69,6 +69,7 @@ __all__ = [
 THRESHOLD_BITS = 64          # binary digits kept of cos^2(theta/2)
 K_GUARD = 16                 # minimum string length for trusted comparisons
 TOL_POLE = 1e-6              # radians; ODE termination band around 0 and pi
+REDUCED_VALUE_DIGITS = 96    # surviving digits read for the drift's r value
 
 AngleLike = Union[float, Fraction, "BinaryThreshold"]
 
@@ -340,10 +341,10 @@ def _rotated_prefix(r0: DigitString, q: PAdicRational, n_digits: int) -> DigitSt
     return apply_operator(op, r0.prefix(n))
 
 
-def _reduced_prefix(s: DigitString, thr: BinaryThreshold, lo: int, hi: int,
-                    want: int) -> np.ndarray:
-    """First min(want, total) surviving digits of the partial reduction,
-    scanning the string in chunks so near-pole states stay cheap."""
+def _reduced_prefix(s: DigitString, thr: BinaryThreshold, want: int) -> np.ndarray:
+    """First min(want, total) surviving digits of the 0/1 partial
+    reduction, scanning the string in chunks so near-pole states stay
+    cheap."""
     d = s.digits
     L = d.size
     out: list[np.ndarray] = []
@@ -354,7 +355,7 @@ def _reduced_prefix(s: DigitString, thr: BinaryThreshold, lo: int, hi: int,
         end = min(L, start + chunk)
         # the chunk plus the 64 digits its last windows read
         seg = d[start:min(L, end + 64)]
-        keep = ~_deletion_mask(seg == hi, thr)[:end - start]
+        keep = ~_deletion_mask(seg == 1, thr)[:end - start]
         survivors = seg[:end - start][keep]
         out.append(survivors)
         got += survivors.size
@@ -366,13 +367,12 @@ def _reduced_prefix(s: DigitString, thr: BinaryThreshold, lo: int, hi: int,
     return merged[:want]
 
 
-def _reduced_value(s: DigitString, thr: BinaryThreshold, lo: int = 0, hi: int = 1,
-                   prefix_digits: int = 96) -> float:
-    """Float value of partial_reduce(s, thr) from its first surviving
-    digits; maps {lo, hi} onto {0, 1}.  Detects an exact value of 1/2 and
-    raises Tie, since the drift equation is stationary there."""
-    digs = _reduced_prefix(s, thr, lo, hi, prefix_digits)
-    bits = (digs == hi).astype(np.uint8)
+def _reduced_value(s: DigitString, thr: BinaryThreshold) -> float:
+    """Float value of partial_reduce(s, thr) from its first
+    REDUCED_VALUE_DIGITS surviving digits.  Detects an exact value of 1/2
+    and raises Tie, since the drift equation is stationary there."""
+    digs = _reduced_prefix(s, thr, REDUCED_VALUE_DIGITS)
+    bits = (digs == 1).astype(np.uint8)
     n = bits.size
     acc = 0
     for b in bits.tolist():
@@ -381,7 +381,7 @@ def _reduced_value(s: DigitString, thr: BinaryThreshold, lo: int = 0, hi: int = 
     if val == 0.5:
         # first survivor 1 then zeros through the prefix: confirm on the
         # full string before declaring a tie
-        full, _ = partial_reduce(s, thr, lo, hi)
+        full, _ = partial_reduce(s, thr)
         if full.value() == Fraction(1, 2):
             raise Tie("reduced value is exactly 1/2")
         val = float(full.value())
@@ -462,8 +462,7 @@ def evolve_ode(theta0: float, lam: PAdicRational, r0: DigitString,
 
 def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
                         jitter_depth: int, dt: float, alpha: float, seed: int,
-                        max_steps: int = 4096, tol_pole: float = TOL_POLE,
-                        theta_jitter: float = 0.0) -> WalkResult:
+                        max_steps: int = 4096, tol_pole: float = TOL_POLE) -> WalkResult:
     """Alternate Euler steps of the drift equation with seeded longitude
     jitter.
 
@@ -471,8 +470,6 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
     drawn uniformly from 1..2^jitter_depth - 1, which re-randomizes r, so
     the theta sequence behaves like a random walk absorbed at the poles.
     jitter_depth = 0 disables the perturbation and reproduces evolve_ode.
-    theta_jitter optionally adds a uniform +-theta_jitter kick to the
-    co-latitude as well (off by default; no principled law for it exists).
 
     Deterministic in (seed, parameters); same seed, same trajectory.
     """
@@ -504,7 +501,4 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
                 num = (num + sign * k) % grid
             else:
                 turns = (turns + Fraction(sign * k, grid)) % 1
-        if theta_jitter > 0.0:
-            theta = float(np.clip(theta + (2 * rng.random() - 1) * theta_jitter,
-                                  tol_pole / 2, np.pi - tol_pole / 2))
     raise NonConvergence(f"no pole reached in {max_steps} steps")

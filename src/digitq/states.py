@@ -26,13 +26,12 @@ import numpy as np
 
 from .digits import (DigitString, champernowne, phi_shift, reinsert,
                      relabel)
-from .errors import (EmptyResult, LengthNotDivisible, NotAnEigenstate, OffGrid,
-                     SuffixTooShort)
-from .phase import (PAdicRational, apply as apply_operator, phase_rotate,
-                    rotation_operator)
+from .errors import EmptyResult, NotAnEigenstate, OffGrid, SuffixTooShort
+from .phase import PAdicRational, phase_rotate
 from .reduction import (BinaryThreshold, K_GUARD, ReductionOutcome,
-                        _deletion_mask, biased_quantile_threshold,
-                        partial_reduce, project, reduce_compound)
+                        _deletion_mask, _rotated_prefix,
+                        biased_quantile_threshold, partial_reduce, project,
+                        reduce_compound)
 
 __all__ = [
     "BlochPoint",
@@ -182,14 +181,6 @@ def qubit_state(cfg: StateConfig, point: BlochPoint) -> DigitString:
 # 3-level constructor
 
 
-def _truncate_to_block(s: DigitString, block: int) -> DigitString:
-    n = len(s) - len(s) % block
-    if n == 0:
-        raise LengthNotDivisible(
-            f"string of {len(s)} digits shorter than one block of {block}")
-    return s.prefix(n)
-
-
 def qutrit_state(cfg: StateConfig, ang: QutritAngles) -> DigitString:
     """Build the 3-level state over a base-3 seed.
 
@@ -246,18 +237,11 @@ def _qutrit_pipeline(s0: DigitString, q1: PAdicRational, q2: PAdicRational,
     """
     sub, log = project(s0, 0)
     sub01 = relabel(sub, {1: 0, 2: 1}, 2)
-    op2 = rotation_operator(q2)
-    if not op2.is_identity():
-        sub01 = _truncate_to_block(sub01, op2.size)
-        sub01 = apply_operator(op2, sub01)
+    # each rotation keeps the whole-block prefix of its input
+    sub01 = _rotated_prefix(sub01, q2, len(sub01))
     sub12 = relabel(sub01, {0: 1, 1: 2}, 3)
     full = reinsert(sub12, log.truncated(len(sub12)), 0)
-
-    op3 = rotation_operator(q1)
-    if not op3.is_identity():
-        full = _truncate_to_block(full, op3.size)
-        full = apply_operator(op3, full)
-
+    full = _rotated_prefix(full, q1, len(full))
     return _qutrit_reduce(full, t1, t2)
 
 

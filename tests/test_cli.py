@@ -39,9 +39,11 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["polarization", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--seed", "--depth", "--length", "--out",
-                     "--format", "--theta"):
+        for flag in ("--depth", "--length", "--out", "--format", "--theta"):
             assert flag in out
+        with pytest.raises(SystemExit):
+            main(["trace-rule", "--help"])
+        assert "--seed" in capsys.readouterr().out
 
 
 class TestStateCommand:
@@ -59,10 +61,14 @@ class TestStateCommand:
         assert "2^(n_max+2) = 16384" in capsys.readouterr().err
 
     def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys):
-        # only the subcommands that read --depth and --length take them
+        # only the subcommands that read --depth, --length, --seed and
+        # --out take them
         for argv in (["epr", "--dtheta", "1/2pi", "--length", "1000"],
                      ["epr", "--dtheta", "1/2pi", "--depth", "3"],
-                     ["seed-invariance", "--length", "1000"]):
+                     ["seed-invariance", "--length", "1000"],
+                     ["polarization", "--theta", "1/3pi", "--seed", "7"],
+                     ["state", "qubit", "--theta", "1/2pi", "--lambda", "0",
+                      "--out", "unwritten"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -78,7 +84,7 @@ class TestStateCommand:
 class TestExperimentCommands:
     def test_polarization_writes_reports(self, tmp_path, capsys):
         rc = main(["polarization", "--theta", "1/3pi", "--depth", "9",
-                   "--seed", "7", "--out", str(tmp_path)])
+                   "--out", str(tmp_path)])
         assert rc == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload[0]["experiment"] == "polarization"

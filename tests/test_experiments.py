@@ -6,20 +6,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from digitq.digits import champernowne, phi_shift
+from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
 from digitq.errors import OffGrid
-from digitq.experiments import (SampleGrid, binomial_tolerance,
-                                epr_correlation, epr_experiment,
-                                index_partition, interference_experiment,
-                                make_epr_ensemble, operator_algebra_checks,
+from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
+                                binomial_tolerance, epr_correlation,
+                                epr_experiment, index_partition,
+                                interference_experiment, make_epr_ensemble,
+                                operator_algebra_checks,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
-                                _qutrit_leading_digit)
+                                _grid_leading_windows, _qutrit_leading_digit)
 from digitq.phase import PAdicRational, phase_rotate
+from digitq.reduction import reduce_compound
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
-                           default_config, default_qutrit_config, qubit_state,
-                           qutrit_state, qutrit_thresholds)
+                           beamsplitter_pair, blocked_mz_output,
+                           default_config, default_qutrit_config,
+                           full_mz_output, qubit_state, qutrit_state,
+                           qutrit_thresholds)
 
 
 class TestIndexPartition:
@@ -206,6 +210,55 @@ class TestInterference:
     def test_depth_beyond_n_max_is_off_grid(self):
         with pytest.raises(OffGrid):
             interference_experiment(SampleGrid(depth=13), default_config())
+
+    @staticmethod
+    def _per_sample_report(grid, cfg):
+        # oracle: every sample's 64-digit prefix through the interferometer
+        # maps of ``states`` and the compound reduction
+        nums = grid.numerators()
+        n = nums.size
+        windows = _grid_leading_windows(cfg.seed_string, grid.depth)[nums]
+        prefixes = np.unpackbits(windows.astype(">u8").view(np.uint8)).reshape(n, 64)
+        transmitted = reflected = complementary = blocked_lead = blocked_hi = full = 0
+        for digits in prefixes:
+            state = DigitString(2, digits, _validate=False)
+            t_beam, r_beam = beamsplitter_pair(state)
+            t_hit = reduce_compound(t_beam).attractor_index == 1
+            r_hit = reduce_compound(r_beam).attractor_index == 1
+            transmitted += t_hit
+            reflected += r_hit
+            complementary += t_hit == r_hit
+            blocked_lead += blocked_mz_output(state).leading_digit != 1
+            blocked_hi += t_hit
+            out = full_mz_output(state)
+            full += not (out.is_constant() and out.leading_digit == 1)
+        tol = binomial_tolerance(0.5, n)
+        stats = [
+            Statistic("freq[transmitted detection]", transmitted / n, 0.5, tol),
+            Statistic("freq[reflected detection]", reflected / n, 0.5, tol),
+            Statistic("complementarity violations", complementary, 0.0, 0.0),
+            Statistic("blocked output leading-1 violations", blocked_lead, 0.0, 0.0),
+            Statistic("freq[blocked downstream channel]", blocked_hi / n, 0.5, tol),
+            Statistic("two-arm constant-1 violations", full, 0.0, 0.0),
+        ]
+        return ExperimentReport("interference", {}, n, stats, grid.seed)
+
+    @pytest.mark.parametrize("seed_name", ["champernowne", "concatenated_squares",
+                                           "constant_0"])
+    def test_leading_bits_match_per_sample_states(self, seed_name):
+        seed_string = {
+            "champernowne": lambda: champernowne(2, 1 << 18),
+            "concatenated_squares": lambda: concatenated_squares(2, 1 << 18),
+            "constant_0": lambda: DigitString.constant(2, 0, 1 << 18),
+        }[seed_name]()
+        cfg = StateConfig(seed_string, n_max=12)
+        grids = [SampleGrid(depth=d) for d in (1, 4, 8, 12)]
+        grids.append(SampleGrid(depth=12, count=500, seed=3))
+        for grid in grids:
+            rep = interference_experiment(grid, cfg)
+            assert rep.to_csv() == self._per_sample_report(grid, cfg).to_csv()
+            assert any(note.startswith("by construction") and "structural" in note
+                       for note in rep.notes)
 
 
 class TestWeakReduction:
