@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -42,6 +43,9 @@ __all__ = [
     "block_frequencies",
     "normality_deviation",
 ]
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _dtype_for_base(base: int) -> np.dtype:
@@ -236,15 +240,40 @@ class FrequencyTable:
 # constructors
 
 
-def _int_digits(n: int, base: int) -> list:
-    if n == 0:
-        return [0]
-    out = []
-    while n:
-        n, r = divmod(n, base)
-        out.append(r)
-    out.reverse()
-    return out
+def _concatenation(base: int, length: int, squares: bool) -> DigitString:
+    """First ``length`` digits of the base-``base`` concatenation of
+    f(0), f(1), f(2), ... with f(n) = n, or n*n when ``squares``.
+
+    Built one digit-length class at a time: the f(n) with exactly k digits
+    form a run of consecutive n, and the run's digit matrix is
+    (f(n) // base^(k-1..0)) % base.  Only as many n as the remaining
+    length needs are expanded, so the int64 arithmetic stays exact unless
+    a needed value itself overflows, which raises OverflowError.
+    """
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    parts = []
+    got = 0
+    k = 1
+    while got < length:
+        # the values with exactly k digits are [base^(k-1), base^k), 0 included at k = 1
+        lo, hi = (base ** (k - 1) if k > 1 else 0), base ** k
+        if squares:
+            lo, hi = (isqrt(lo - 1) + 1 if lo else 0), isqrt(hi - 1) + 1
+        count = min(hi - lo, -(-(length - got) // k))
+        top = lo + count - 1
+        if (top * top if squares else top) > _INT64_MAX:
+            raise OverflowError(f"digit-length class {k} in base {base} exceeds int64")
+        n = np.arange(lo, lo + count, dtype=np.int64)
+        vals = n * n if squares else n
+        places = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        parts.append(((vals[:, None] // places) % base).ravel())
+        got += count * k
+        k += 1
+    digits = np.concatenate(parts)[:length].astype(_dtype_for_base(base))
+    return DigitString(base, digits, _validate=False)
 
 
 @lru_cache(maxsize=64)
@@ -254,17 +283,7 @@ def champernowne(base: int, length: int) -> DigitString:
     The concatenation starts at the integer 0, so the base-2 expansion
     begins .011011100101... and the base-3 expansion begins .012101112...
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    digits: list = []
-    n = 0
-    while len(digits) < length:
-        digits.extend(_int_digits(n, base))
-        n += 1
-    return DigitString(base, np.array(digits[:length], dtype=_dtype_for_base(base)),
-                       _validate=False)
+    return _concatenation(base, length, squares=False)
 
 
 @lru_cache(maxsize=64)
@@ -272,17 +291,7 @@ def concatenated_squares(base: int, length: int) -> DigitString:
     """First ``length`` digits of the concatenation of 0,1,4,9,16,... in base
     ``base``.  An alternate normal-style seed used to demonstrate that the
     measurement statistics do not depend on the seed choice."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    digits: list = []
-    n = 0
-    while len(digits) < length:
-        digits.extend(_int_digits(n * n, base))
-        n += 1
-    return DigitString(base, np.array(digits[:length], dtype=_dtype_for_base(base)),
-                       _validate=False)
+    return _concatenation(base, length, squares=True)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +415,10 @@ def block_frequencies(s: DigitString, k: int) -> FrequencyTable:
     nwin = len(s) // k
     rows = s.digits[: nwin * k].reshape(nwin, k)
     if k * np.log2(s.base) <= 52:
-        # encode each block as an integer, exact in float64
-        weights = (float(s.base) ** np.arange(k - 1, -1, -1)).astype(np.float64)
-        codes = rows.astype(np.float64) @ weights
-        uniq, cnts = np.unique(codes.astype(np.int64), return_counts=True)
+        # encode each block as an integer, exact in int64
+        weights = s.base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        codes = (rows.astype(np.int64) * weights).sum(axis=1)
+        uniq, cnts = np.unique(codes, return_counts=True)
         counts = {}
         for code, c in zip(uniq.tolist(), cnts.tolist()):
             block = []

@@ -14,11 +14,15 @@ digits survive; at t = 0 only hi digits survive.
 Comparisons are exact for the finite string: ``BinaryThreshold.at_or_below``
 compares the suffix's 64-digit window, zero-padded, against the threshold,
 and since the threshold has no digits beyond the window the comparison is
-always decided within it.  A useful consequence, used throughout the
-experiments: the first surviving digit is lo exactly when the
-whole-string value is below t (deleting a hi digit with suffix < t keeps
-the next suffix below t, and a lo digit below t is kept on the spot,
-symmetrically for >=).
+always decided within it.  The windows come from the string packed eight
+digits to a byte: one big-endian 8-byte word per byte offset, and the
+seven positions inside each byte by shifting that word and pulling in
+the top bits of the next byte, all in uint64 arithmetic.
+
+A useful consequence, used throughout the experiments: the first
+surviving digit is lo exactly when the whole-string value is below t
+(deleting a hi digit with suffix < t keeps the next suffix below t, and a
+lo digit below t is kept on the spot, symmetrically for >=).
 
 The drift equation dtheta/dt = alpha (r - 1/2) sin(theta) closes the
 loop: r is recomputed from the current theta each Euler step, and because
@@ -224,20 +228,27 @@ class ReductionOutcome:
 # ---------------------------------------------------------------------------
 # suffix comparison kernel
 
-_POW32_HI = (2.0 ** np.arange(31, -1, -1)).astype(np.float64)
-
-
 def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
     """64-bit suffix windows w_j = .b_j ... b_(j+63) * 2^64 for j < length.
 
-    ``bits`` must extend at least 64 entries past ``length`` (zero padded);
-    the two 32-bit halves are computed with float64 matmuls, exact below
-    2^32, and recombined into uint64.
+    ``bits`` holds 0/1 digits (bool or integer) and must extend at least
+    64 entries past ``length``, zero padded.  The digits are packed eight
+    to a byte; the window at j = 8i is the big-endian word of bytes
+    i..i+7, and the window at 8i + r shifts that word left by r and takes
+    its last r digits from the top of byte i+8.  Returns uint64.
     """
-    win = np.lib.stride_tricks.sliding_window_view(bits, 32)
-    hi = win[:length].astype(np.float64) @ _POW32_HI
-    lo = win[32:32 + length].astype(np.float64) @ _POW32_HI
-    return (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+    nb = -(-length // 8)
+    pk = np.zeros(nb + 8, dtype=np.uint8)
+    packed = np.packbits(bits[:8 * (nb + 8)])
+    pk[:packed.size] = packed
+    u = np.lib.stride_tricks.sliding_window_view(pk, 8)[:nb].copy().view(">u8")
+    u = u.ravel().astype(np.uint64)
+    nxt = pk[8:8 + nb].astype(np.uint64)
+    out = np.empty(8 * nb, dtype=np.uint64)
+    out[0::8] = u
+    for r in range(1, 8):
+        out[r::8] = (u << np.uint64(r)) | (nxt >> np.uint64(8 - r))
+    return out[:length]
 
 
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
@@ -246,6 +257,10 @@ def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     if thr.t_int == 0 or thr.is_one:
         # t = 0 is at or below every suffix, t = 1 above every one
         return np.full(L, thr.t_int == 0)
+    if thr.t_int == 1 << (thr.bits - 1):
+        # t = 1/2: a zero-padded suffix is >= 1/2 exactly when its
+        # leading digit is 1
+        return bits01.astype(bool)
     padded = np.zeros(L + 64, dtype=np.uint8)
     padded[:L] = bits01
     return thr.at_or_below(_window_u64(padded, L))

@@ -112,14 +112,15 @@ class QutritAngles:
 
 @dataclass(frozen=True)
 class StateConfig:
-    """Seed string (the global-phase choice), grid depth and sizing.
+    """Seed string (the global-phase choice) and grid depth.
 
     For a base-2 seed the length must be a multiple of 2**(n_max + 2) so
     every on-grid rotation applies blockwise.  ``inner_dyadic_depth``
     bounds the dyadic grid used inside the 3-level pipeline (defaults to
-    n_max).  target_length is the output size the default sizing aims
-    for; near the poles the surviving string is shorter, which callers
-    needing exact sizes must check themselves.
+    n_max).  ``target_length`` is carried from config to config but no
+    code reads it: the constructors keep every surviving digit of the
+    whole seed, so output lengths follow from the seed length and the
+    angles.
     """
 
     seed_string: DigitString
@@ -166,8 +167,8 @@ def qubit_state(cfg: StateConfig, point: BlochPoint) -> DigitString:
 
     theta = pi/2 returns the pure rotation (no digit deleted); theta = 0
     or pi returns constant strings.  The output keeps every surviving
-    digit; with the default sizing it is at least target_length long for
-    |cos theta| <= 1/2, and shorter near the poles.
+    digit of the rotated seed, so it is shorter the nearer theta lies to
+    a pole; ``cfg.target_length`` plays no part.
     """
     if cfg.seed_string.base != 2:
         raise ValueError("qubit_state needs a base-2 seed")

@@ -12,6 +12,7 @@ from digitq.digits import (DigitString, block_frequencies, champernowne,
                            concatenated_squares, degree_of_normality,
                            delete_where, normality_deviation, phi_shift,
                            reinsert, relabel, value, value_float)
+from digitq import digits as digits_module
 from digitq.errors import EmptyResult
 
 
@@ -62,6 +63,26 @@ class TestDigitString:
             "2:c:011011100101"
 
 
+def _int_digits(n, base):
+    out = []
+    while True:
+        n, r = divmod(n, base)
+        out.append(r)
+        if not n:
+            return out[::-1]
+
+
+def list_concatenation(base, length, f):
+    """Reference builder: extend a Python list with the digits of f(0),
+    f(1), ... until it holds ``length`` digits."""
+    digits = []
+    n = 0
+    while len(digits) < length:
+        digits.extend(_int_digits(f(n), base))
+        n += 1
+    return digits[:length]
+
+
 class TestChampernowne:
     def test_base2_prefix(self):
         assert champernowne(2, 12).digits.tolist() == \
@@ -85,6 +106,32 @@ class TestChampernowne:
         # base 2: 0,1,100,1001,10000 -> 0 1 1 0 0 1 0 0 1 1 0 0 0 0
         assert concatenated_squares(2, 14).digits.tolist() == \
             [0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]
+
+
+    @pytest.mark.parametrize("base,length", [
+        (2, 1 << 18), (3, 3 ** 11), (2, 1 << 16), (2, 1000), (3, 7),
+        (10, 500), (2, 12),
+        # lengths that end inside a number
+        (2, 13), (10, 11), (3, 3 ** 7 + 1), (300, 1001)])
+    def test_match_list_builders(self, base, length):
+        for builder, f in ((champernowne, lambda n: n),
+                           (concatenated_squares, lambda n: n * n)):
+            s = builder(base, length)
+            assert s.base == base and len(s) == length
+            assert s.digits.dtype == (np.uint8 if base <= 256 else np.uint16)
+            assert s.digits.tolist() == list_concatenation(base, length, f)
+
+    def test_int64_guard(self, monkeypatch):
+        # the builders compute in int64; a value past the limit must raise
+        # instead of wrapping.  Real limits need billions of digits, so
+        # lower the limit to exercise the guard.
+        monkeypatch.setattr(digits_module, "_INT64_MAX", 10 ** 4)
+        assert champernowne.__wrapped__(10, 100).digits.tolist() == \
+            list_concatenation(10, 100, lambda n: n)
+        with pytest.raises(OverflowError):
+            champernowne.__wrapped__(10, 10 ** 5)
+        with pytest.raises(OverflowError):
+            concatenated_squares.__wrapped__(10, 1000)
 
 
 class TestPhiShift:

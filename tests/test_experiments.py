@@ -261,6 +261,35 @@ class TestInterference:
                        for note in rep.notes)
 
 
+class TestTopBitLemma:
+    @pytest.mark.parametrize("seed_name", ["champernowne", "concatenated_squares",
+                                           "constant_0", "random"])
+    def test_half_the_grid_leads_with_one(self, seed_name):
+        """Over the exhaustive depth-K grid exactly 2^(K-1) of the rotated
+        seeds lead with 1, whatever the seed string.
+
+        Proof: the rotation by e/2^K acts on blocks of 2^(K-1) digits as
+        the e-th power of the depth-(K-1) odometer, and place 0 of that
+        power reads source place (-e) mod 2^(K-1) with digit shift
+        ceil(e / 2^(K-1)) mod 2.  So the shift is 1 exactly for e in
+        1..2^(K-1), and exponents e and e + 2^(K-1) (e < 2^(K-1)) read the
+        same source place with opposite shifts: of each such pair exactly
+        one leading digit is 1.  The pairs partition 0..2^K - 1.
+        """
+        n = 1 << 18
+        seed_string = {
+            "champernowne": lambda: champernowne(2, n),
+            "concatenated_squares": lambda: concatenated_squares(2, n),
+            "constant_0": lambda: DigitString.constant(2, 0, n),
+            "random": lambda: DigitString(
+                2, make_rng(5).integers(0, 2, n, dtype=np.uint8), _validate=False),
+        }[seed_name]()
+        for depth in range(1, 13):
+            windows = _grid_leading_windows(seed_string, depth)
+            assert windows.size == 1 << depth
+            assert int(np.count_nonzero(windows >> np.uint64(63))) == 1 << (depth - 1)
+
+
 class TestWeakReduction:
     def test_balanced_start(self):
         rep = weak_reduction_experiment(Fraction(1, 2), ensemble_size=300, seed=9)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from digitq.digits import DigitString, champernowne, value
 from digitq.errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
 from digitq.phase import PAdicRational, phase_rotate
-from digitq.reduction import (BinaryThreshold, _reduced_value,
+from digitq.reduction import (BinaryThreshold, _deletion_mask, _reduced_value,
+                              _suffix_ge_mask, _window_u64,
                               biased_quantile_threshold, evolve_ode,
                               partial_reduce, project, reduce_Rj,
                               reduce_compound, weak_reduction_walk)
@@ -33,6 +34,92 @@ def brute_partial_reduce(s, t_frac, lo=0, hi=1):
         if keep:
             out.append(digs[j])
     return out
+
+
+_POW32_HI = 2.0 ** np.arange(31, -1, -1)
+
+
+def float_window_u64(bits, length):
+    """Independent oracle for the packed window kernel: the two 32-digit
+    halves of each window as float64 dot products, exact below 2^32."""
+    win = np.lib.stride_tricks.sliding_window_view(bits, 32)
+    hi = win[:length].astype(np.float64) @ _POW32_HI
+    lo = win[32:32 + length].astype(np.float64) @ _POW32_HI
+    return (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+
+
+def zero_padded(bits, extra=64):
+    out = np.zeros(bits.size + extra, dtype=np.uint8)
+    out[:bits.size] = bits
+    return out
+
+
+class TestWindowKernel:
+    @pytest.mark.parametrize("length", [1, 7, 8, 63, 64, 65, 100, 1000, 8192, 12345])
+    def test_matches_float_oracle_on_random_strings(self, length):
+        rng = np.random.default_rng(length)
+        bits = rng.integers(0, 2, length, dtype=np.uint8)
+        # padding past the 64 required entries must not change a window
+        for extra in (64, 65, 71, 200):
+            padded = zero_padded(bits, extra)
+            expected = float_window_u64(padded, length)
+            assert np.array_equal(_window_u64(padded, length), expected)
+            assert np.array_equal(_window_u64(padded.astype(bool), length), expected)
+
+    def test_all_ones_reaches_the_maximum_window(self):
+        length = 777
+        padded = zero_padded(np.ones(length, dtype=np.uint8))
+        w = _window_u64(padded, length)
+        assert np.array_equal(w, float_window_u64(padded, length))
+        assert int(w[0]) == (1 << 64) - 1
+        assert int(w[length - 64]) == (1 << 64) - 1
+        assert int(w[-1]) == 1 << 63
+
+    def test_champernowne_prefix(self):
+        bits = champernowne(2, 1 << 18).digits
+        padded = zero_padded(bits)
+        expected = float_window_u64(padded, bits.size)
+        assert np.array_equal(_window_u64(padded, bits.size), expected)
+        assert np.array_equal(_window_u64(padded.astype(bool), bits.size), expected)
+
+    def test_dtype_and_shape(self):
+        padded = zero_padded(np.array([1, 0, 1], dtype=np.uint8))
+        w = _window_u64(padded, 3)
+        assert w.dtype == np.uint64 and w.shape == (3,)
+        assert w.tolist() == [5 << 61, 1 << 62, 1 << 63]
+
+
+class TestHalfThresholdFastPath:
+    @staticmethod
+    def _window_path(bits, thr):
+        return thr.at_or_below(_window_u64(zero_padded(bits), bits.size))
+
+    @pytest.mark.parametrize("bits_precision", [32, 64])
+    def test_matches_window_path(self, bits_precision):
+        thr = BinaryThreshold(1 << (bits_precision - 1), bits_precision)
+        assert thr.value == Fraction(1, 2)
+        rng = np.random.default_rng(bits_precision)
+        strings = [rng.integers(0, 2, n, dtype=np.uint8) for n in (1, 16, 100, 4096, 9999)]
+        strings += [champernowne(2, n).digits for n in (16, 1000, 1 << 18)]
+        for bits in strings:
+            hi = bits == 1
+            expected = self._window_path(bits, thr)
+            assert np.array_equal(_suffix_ge_mask(hi, thr), expected)
+            assert np.array_equal(_suffix_ge_mask(bits, thr), expected)
+            assert not _deletion_mask(hi, thr).any()
+
+    def test_neighbouring_thresholds_take_the_window_path(self):
+        # one unit either side of 1/2 deletes digits, so the fast path
+        # must not fire there: below 1/2 the lo digit before 64 ones goes,
+        # above it the hi digit before 64 zeros
+        c = champernowne(2, 4096).digits
+        bits = np.concatenate([c, [0] + [1] * 64, [1] + [0] * 64, c]).astype(np.uint8)
+        hi = bits == 1
+        for t_int in ((1 << 63) - 1, (1 << 63) + 1):
+            thr = BinaryThreshold(t_int)
+            mask = _suffix_ge_mask(hi, thr)
+            assert np.array_equal(mask, self._window_path(bits, thr))
+            assert _deletion_mask(hi, thr).any()
 
 
 class TestBinaryThreshold:
