@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from digitq import digits as digits_module
 from digitq.digits import (DigitString, block_frequencies, champernowne,
                            concatenated_squares, degree_of_normality,
                            delete_where, normality_deviation, phi_shift,
                            reinsert, relabel, value, value_float)
-from digitq import digits as digits_module
 from digitq.errors import EmptyResult
 
 
@@ -106,7 +106,6 @@ class TestChampernowne:
         # base 2: 0,1,100,1001,10000 -> 0 1 1 0 0 1 0 0 1 1 0 0 0 0
         assert concatenated_squares(2, 14).digits.tolist() == \
             [0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]
-
 
     @pytest.mark.parametrize("base,length", [
         (2, 1 << 18), (3, 3 ** 11), (2, 1 << 16), (2, 1000), (3, 7),
