@@ -19,7 +19,7 @@ hot loops therefore rotate and reduce prefixes through exactly the same
 pipeline code as the full constructors, which unit tests pin against the
 full-length paths.  Dyadic grid sweeps go further: the rotation at every
 grid point is a power of one odometer (see ``phase``), so the leading 64
-digits of every rotated seed come from vectorized gathers, and polarization,
+digits of every rotated seed come from a single gather, and polarization,
 interference and seed invariance read nothing but those cached windows.
 The EPR correlation is an exact digit sum.
 """
@@ -205,23 +205,16 @@ def _grid_leading_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     numerator on the exhaustive base-2 grid of the given depth.
 
     The rotation by e/2^K of a turn is omega_root(2, K-1)**e acting on
-    2^(K-1)-blocks, so an (exponents x 64) odometer gather from the seed
-    gives the windows of many grid points at once.  Place j of the prefix
-    lies in the block that starts at j - j mod block, which covers blocks
-    shorter than 64 digits.  The gather runs 256 exponents at a time:
-    its int64 temporaries stay at 128 KB, in cache, instead of 2 MB each
-    at depth 12, which a fresh process would first have to page in.
+    2^(K-1)-blocks, so one (2^K x 64) odometer gather from the seed gives
+    every window at once.  Place j of the prefix lies in the block that
+    starts at j - j mod block, which covers blocks shorter than 64 digits.
     """
     n = max(depth - 1, 0)
     places = np.arange(64)
     inner = places % (1 << n)
-    out = np.empty(1 << depth, dtype=np.uint64)
-    for lo in range(0, 1 << depth, 256):
-        e = np.arange(lo, min(lo + 256, 1 << depth))[:, None]
-        src, shift = _odometer(2, n, e, inner)
-        bits = seed_string.digits[places - inner + src] ^ shift.astype(np.uint8)
-        out[lo:lo + e.size] = np.packbits(bits, axis=1).view(">u8").ravel()
-    return out
+    src, shift = _odometer(2, n, np.arange(1 << depth)[:, None], inner)
+    bits = seed_string.digits[places - inner + src] ^ shift.astype(np.uint8)
+    return np.packbits(bits, axis=1).view(">u8").ravel().astype(np.uint64)
 
 
 @lru_cache(maxsize=8)

@@ -257,10 +257,6 @@ def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     if thr.t_int == 0 or thr.is_one:
         # t = 0 is at or below every suffix, t = 1 above every one
         return np.full(L, thr.t_int == 0)
-    if thr.t_int == 1 << (thr.bits - 1):
-        # t = 1/2: a zero-padded suffix is >= 1/2 exactly when its
-        # leading digit is 1
-        return bits01.astype(bool)
     padded = np.zeros(L + 64, dtype=np.uint8)
     padded[:L] = bits01
     return thr.at_or_below(_window_u64(padded, L))

@@ -16,7 +16,7 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
                                 _grid_leading_windows, _qutrit_leading_digit)
-from digitq.phase import PAdicRational, _odometer, phase_rotate
+from digitq.phase import PAdicRational, phase_rotate
 from digitq.reduction import reduce_compound
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
@@ -259,29 +259,6 @@ class TestInterference:
             assert rep.to_csv() == self._per_sample_report(grid, cfg).to_csv()
             assert any(note.startswith("by construction") and "structural" in note
                        for note in rep.notes)
-
-
-def single_gather_windows(seed_string, depth):
-    """Reference for ``_grid_leading_windows``: every exponent of the
-    grid in one (2^depth x 64) odometer gather."""
-    n = max(depth - 1, 0)
-    places = np.arange(64)
-    inner = places % (1 << n)
-    src, shift = _odometer(2, n, np.arange(1 << depth)[:, None], inner)
-    bits = seed_string.digits[places - inner + src] ^ shift.astype(np.uint8)
-    return np.packbits(bits, axis=1).view(">u8").ravel().astype(np.uint64)
-
-
-class TestGridLeadingWindows:
-    def test_chunked_gather_matches_single_gather(self):
-        seeds = [champernowne(2, 1 << 18), concatenated_squares(2, 1 << 14),
-                 DigitString(2, make_rng(9).integers(0, 2, 1 << 12, dtype=np.uint8),
-                             _validate=False)]
-        for seed_string in seeds:
-            for depth in range(0, 13):
-                got = _grid_leading_windows(seed_string, depth)
-                assert got.dtype == np.uint64
-                assert np.array_equal(got, single_gather_windows(seed_string, depth))
 
 
 class TestTopBitLemma:

@@ -89,13 +89,13 @@ class TestWindowKernel:
         assert w.tolist() == [5 << 61, 1 << 62, 1 << 63]
 
 
-class TestHalfThresholdFastPath:
-    @staticmethod
-    def _window_path(bits, thr):
-        return thr.at_or_below(_window_u64(zero_padded(bits), bits.size))
+class TestHalfThreshold:
+    """At t = 1/2 a zero-padded suffix is >= t exactly when its leading
+    digit is 1, so the suffix mask is the hi indicator and no digit is
+    deleted."""
 
     @pytest.mark.parametrize("bits_precision", [32, 64])
-    def test_matches_window_path(self, bits_precision):
+    def test_mask_is_leading_digit(self, bits_precision):
         thr = BinaryThreshold(1 << (bits_precision - 1), bits_precision)
         assert thr.value == Fraction(1, 2)
         rng = np.random.default_rng(bits_precision)
@@ -103,22 +103,20 @@ class TestHalfThresholdFastPath:
         strings += [champernowne(2, n).digits for n in (16, 1000, 1 << 18)]
         for bits in strings:
             hi = bits == 1
-            expected = self._window_path(bits, thr)
-            assert np.array_equal(_suffix_ge_mask(hi, thr), expected)
-            assert np.array_equal(_suffix_ge_mask(bits, thr), expected)
+            assert np.array_equal(_suffix_ge_mask(hi, thr), hi)
+            assert np.array_equal(_suffix_ge_mask(bits, thr), hi)
             assert not _deletion_mask(hi, thr).any()
 
-    def test_neighbouring_thresholds_take_the_window_path(self):
-        # one unit either side of 1/2 deletes digits, so the fast path
-        # must not fire there: below 1/2 the lo digit before 64 ones goes,
-        # above it the hi digit before 64 zeros
+    def test_neighbouring_thresholds_delete(self):
+        # one unit either side of 1/2 the leading digit no longer decides:
+        # below 1/2 the lo digit before 64 ones goes, above it the hi
+        # digit before 64 zeros
         c = champernowne(2, 4096).digits
         bits = np.concatenate([c, [0] + [1] * 64, [1] + [0] * 64, c]).astype(np.uint8)
         hi = bits == 1
         for t_int in ((1 << 63) - 1, (1 << 63) + 1):
             thr = BinaryThreshold(t_int)
-            mask = _suffix_ge_mask(hi, thr)
-            assert np.array_equal(mask, self._window_path(bits, thr))
+            assert not np.array_equal(_suffix_ge_mask(hi, thr), hi)
             assert _deletion_mask(hi, thr).any()
 
 
