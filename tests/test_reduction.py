@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from digitq.digits import DigitString, champernowne, value
 from digitq.errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
 from digitq.phase import PAdicRational, phase_rotate
-from digitq.reduction import (BinaryThreshold, _deletion_mask, _reduced_value,
-                              _suffix_ge_mask, _window_u64,
+from digitq.reduction import (BinaryThreshold, _reduced_value, _window_u64,
                               biased_quantile_threshold, evolve_ode,
                               partial_reduce, project, reduce_Rj,
                               reduce_compound, weak_reduction_walk)
@@ -87,37 +86,6 @@ class TestWindowKernel:
         w = _window_u64(padded, 3)
         assert w.dtype == np.uint64 and w.shape == (3,)
         assert w.tolist() == [5 << 61, 1 << 62, 1 << 63]
-
-
-class TestHalfThreshold:
-    """At t = 1/2 a zero-padded suffix is >= t exactly when its leading
-    digit is 1, so the suffix mask is the hi indicator and no digit is
-    deleted."""
-
-    @pytest.mark.parametrize("bits_precision", [32, 64])
-    def test_mask_is_leading_digit(self, bits_precision):
-        thr = BinaryThreshold(1 << (bits_precision - 1), bits_precision)
-        assert thr.value == Fraction(1, 2)
-        rng = np.random.default_rng(bits_precision)
-        strings = [rng.integers(0, 2, n, dtype=np.uint8) for n in (1, 16, 100, 4096, 9999)]
-        strings += [champernowne(2, n).digits for n in (16, 1000, 1 << 18)]
-        for bits in strings:
-            hi = bits == 1
-            assert np.array_equal(_suffix_ge_mask(hi, thr), hi)
-            assert np.array_equal(_suffix_ge_mask(bits, thr), hi)
-            assert not _deletion_mask(hi, thr).any()
-
-    def test_neighbouring_thresholds_delete(self):
-        # one unit either side of 1/2 the leading digit no longer decides:
-        # below 1/2 the lo digit before 64 ones goes, above it the hi
-        # digit before 64 zeros
-        c = champernowne(2, 4096).digits
-        bits = np.concatenate([c, [0] + [1] * 64, [1] + [0] * 64, c]).astype(np.uint8)
-        hi = bits == 1
-        for t_int in ((1 << 63) - 1, (1 << 63) + 1):
-            thr = BinaryThreshold(t_int)
-            assert not np.array_equal(_suffix_ge_mask(hi, thr), hi)
-            assert _deletion_mask(hi, thr).any()
 
 
 class TestBinaryThreshold:
