@@ -26,9 +26,9 @@ from pathlib import Path
 
 from .digits import DigitString, champernowne
 from .errors import DigitqError, OffGrid
-from .experiments import (CSV_HEADER, ExperimentReport, SampleGrid,
-                          epr_experiment, interference_experiment,
-                          operator_algebra_checks, polarization_experiment,
+from .experiments import (ExperimentReport, SampleGrid, epr_experiment,
+                          interference_experiment, operator_algebra_checks,
+                          polarization_experiment, reports_csv,
                           seed_invariance_suite, trace_rule_experiment,
                           weak_reduction_experiment)
 from .states import (BlochPoint, QutritAngles, StateConfig, default_config,
@@ -54,23 +54,19 @@ def parse_angle(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _write_reports(reports: list, out: Path | None, fmt: str, quiet: bool = False) -> None:
+def _write_reports(reports: list, out: Path | None, fmt: str) -> None:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         if fmt in ("json", "both"):
             payload = [r.to_json_dict() for r in reports]
             (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
         if fmt in ("csv", "both"):
-            lines = [",".join(CSV_HEADER)]
-            for r in reports:
-                lines.extend(",".join(str(c) for c in row) for row in r.csv_rows())
-            (out / "report.csv").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        for r in reports:
-            for line in r.summary_lines():
-                print(line)
-            for note in r.notes:
-                print(f"{r.name:<16} note: {note}")
+            (out / "report.csv").write_text(reports_csv(reports))
+    for r in reports:
+        for line in r.summary_lines():
+            print(line)
+        for note in r.notes:
+            print(f"{r.name:<16} note: {note}")
 
 
 def _exit_code(reports: list) -> int:

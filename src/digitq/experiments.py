@@ -1,7 +1,7 @@
 """Seeded Monte Carlo harness reproducing the closed-form statistics.
 
-Each experiment sweeps the longitude grid (exhaustively when it fits,
-sampled with a seeded generator otherwise), measures leading-digit
+Each experiment sweeps the longitude grid (every grid point exactly
+once) or draws grid points with a seeded generator, measures leading-digit
 statistics of the constructed states, and compares against the known
 closed forms: cos^2(theta/2) polarization, the three-level trace rule,
 the -cos(dtheta) pair correlation, 50/50 interferometer splits, and the
@@ -63,6 +63,7 @@ __all__ = [
     "weak_reduction_experiment",
     "seed_invariance_suite",
     "operator_algebra_checks",
+    "reports_csv",
     "CSV_HEADER",
     "SCHEMA_VERSION",
 ]
@@ -79,35 +80,15 @@ def binomial_tolerance(p: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Longitude grid of depth K in the given base.
-
-    count None means exhaustive (every numerator 0..base^depth - 1 exactly
-    once); otherwise ``count`` numerators are drawn uniformly with the
-    grid's seed.
-    """
+    """Longitude grid of depth K in the given base: the numerators
+    0..base^depth - 1 of the turns m/base^depth."""
 
     depth: int
     base: int = 2
-    count: Optional[int] = None
-    seed: int = 0
-
-    @property
-    def exhaustive(self) -> bool:
-        return self.count is None
 
     @property
     def modulus(self) -> int:
         return self.base ** self.depth
-
-    def numerators(self) -> np.ndarray:
-        if self.exhaustive:
-            return np.arange(self.modulus, dtype=np.int64)
-        rng = make_rng(self.seed)
-        return rng.integers(0, self.modulus, size=self.count, dtype=np.int64)
-
-    @property
-    def size(self) -> int:
-        return self.modulus if self.exhaustive else self.count
 
 
 @dataclass
@@ -168,11 +149,7 @@ class ExperimentReport:
         ]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        w.writerows(self.csv_rows())
-        return buf.getvalue()
+        return reports_csv([self])
 
     def summary_lines(self) -> list:
         out = []
@@ -182,6 +159,16 @@ class ExperimentReport:
                        f" expected={s.expected:<10.6f} dev={s.deviation:.6f}"
                        f" tol={s.tolerance:.6f} {verdict}")
         return out
+
+
+def reports_csv(reports: list) -> str:
+    """CSV text of the reports: the header, then one row per statistic."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for r in reports:
+        w.writerows(r.csv_rows())
+    return buf.getvalue()
 
 
 def _angle_float(theta) -> float:
@@ -226,10 +213,16 @@ def _cached_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     return windows
 
 
-def _check_grid_depth(grid: "SampleGrid", cfg: StateConfig) -> None:
-    if grid.depth > cfg.n_max:
+def _check_grid(grid: SampleGrid, base: int, n_max: int) -> None:
+    """The grid contract: an experiment's grid must be in the base its
+    states rotate in and no deeper than the configured grid depth n_max,
+    or the states it would sweep are undefined (OffGrid)."""
+    if grid.base != base:
+        raise OffGrid(f"grid is base {grid.base}, but these longitudes are "
+                      f"base-{base} p-adic")
+    if grid.depth > n_max:
         raise OffGrid(f"grid depth {grid.depth} exceeds the configured grid depth "
-                      f"{cfg.n_max}; the states there are undefined")
+                      f"{n_max}; the states there are undefined")
 
 
 def _freq_below_half(cfg: StateConfig, theta, grid: SampleGrid) -> float:
@@ -241,11 +234,7 @@ def _freq_below_half(cfg: StateConfig, theta, grid: SampleGrid) -> float:
     """
     thr = BinaryThreshold.from_angle(theta)
     windows = _cached_windows(cfg.seed_string, grid.depth)
-    if grid.exhaustive:
-        sel = windows
-    else:
-        sel = windows[grid.numerators()]
-    return float(np.mean(~thr.at_or_below(sel)))
+    return float(np.mean(~thr.at_or_below(windows)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +245,15 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
                             ) -> ExperimentReport:
     """Frequency of reduction to the north pole versus cos^2(theta/2)."""
     cfg = cfg or default_config()
-    _check_grid_depth(grid, cfg)
+    _check_grid(grid, 2, cfg.n_max)
     t0 = time.perf_counter()
     p = cos(_angle_float(theta) / 2) ** 2
     freq = _freq_below_half(cfg, theta, grid)
-    n = grid.size
+    n = grid.modulus
     stat = Statistic("freq[value < 1/2]", freq, p, binomial_tolerance(p, n))
     return ExperimentReport(
-        "polarization",
-        {"theta": _angle_repr(theta), "depth": grid.depth,
-         "mode": "exhaustive" if grid.exhaustive else f"sampled({grid.count})"},
-        n, [stat], grid.seed, time.perf_counter() - t0)
+        "polarization", {"theta": _angle_repr(theta), "depth": grid.depth},
+        n, [stat], 0, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +295,8 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
     """Attractor frequencies of the compound reduction over sampled
     (triadic, dyadic) longitude pairs versus the trace rule."""
     cfg = cfg or default_qutrit_config()
+    _check_grid(grid1, 3, cfg.n_max)
+    _check_grid(grid2, 2, cfg.dyadic_depth)
     t0 = time.perf_counter()
     t1, t2 = qutrit_thresholds(QutritAngles(theta1, theta2, Fraction(0), Fraction(0)))
     rng = make_rng(seed)
@@ -374,13 +363,12 @@ def _ensemble_depth(N: int, cfg: StateConfig) -> int:
     """Grid depth K = ceil(log2 N) of an N-pair ensemble, checked against
     the configured grid depth."""
     K = max(1, ceil(log2(max(N, 2))))
-    if K > cfg.n_max:
-        raise ValueError(f"ensemble of {N} needs grid depth {K} > n_max {cfg.n_max}")
+    _check_grid(SampleGrid(depth=K), 2, cfg.n_max)
     return K
 
 
-def make_epr_ensemble(dtheta, N: int, cfg: Optional[StateConfig] = None,
-                      seed: int = 0) -> Iterator[EntangledPair]:
+def make_epr_ensemble(dtheta, N: int,
+                      cfg: Optional[StateConfig] = None) -> Iterator[EntangledPair]:
     """Stream N entangled pairs for detector misalignment dtheta.
 
     The i-th left state sits at longitude 2*pi*i/2^K, K = ceil(log2 N);
@@ -465,11 +453,10 @@ def interference_experiment(grid: SampleGrid, cfg: Optional[StateConfig] = None,
     reported as 0 for every seed string.
     """
     cfg = cfg or default_config()
-    _check_grid_depth(grid, cfg)
+    _check_grid(grid, 2, cfg.n_max)
     t0 = time.perf_counter()
-    nums = grid.numerators()
-    n = nums.size
-    windows = _cached_windows(cfg.seed_string, grid.depth)[nums]
+    n = grid.modulus
+    windows = _cached_windows(cfg.seed_string, grid.depth)
     transmitted = int(np.count_nonzero(windows >> np.uint64(63)))
     reflected = n - transmitted
     stats = [
@@ -483,11 +470,8 @@ def interference_experiment(grid: SampleGrid, cfg: Optional[StateConfig] = None,
                   binomial_tolerance(0.5, n)),
         Statistic("two-arm constant-1 violations", 0, 0.0, 0.0),
     ]
-    report = ExperimentReport(
-        "interference",
-        {"depth": grid.depth,
-         "mode": "exhaustive" if grid.exhaustive else f"sampled({grid.count})"},
-        n, stats, grid.seed, time.perf_counter() - t0)
+    report = ExperimentReport("interference", {"depth": grid.depth}, n, stats, 0,
+                              time.perf_counter() - t0)
     report.notes.append("by construction: the three violation counts are structural "
                         "and read 0 for every seed string")
     return report
@@ -515,6 +499,7 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     noise and every walk saturates into its nearer pole instead.
     """
     cfg = cfg or default_config()
+    _check_grid(SampleGrid(depth=jitter_depth), 2, cfg.n_max)
     t0 = time.perf_counter()
     th0 = _angle_float(theta0)
     north = 0
@@ -580,8 +565,8 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
                               n_max=cfg_main.n_max,
                               target_length=cfg_main.target_length)
     grid = SampleGrid(depth=10)
-    _check_grid_depth(grid, cfg_main)
-    _check_grid_depth(grid, cfg_alt)
+    _check_grid(grid, 2, cfg_main.n_max)
+    _check_grid(grid, 2, cfg_alt.n_max)
     # pi/6, 2pi/5 and 5pi/6 have thresholds with deep binary expansions,
     # so their rows depend on the seed.  pi/3 (threshold .11) does not: over
     # the exhaustive grid the leading two window bits come out exactly
@@ -592,7 +577,7 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
     worst_alt = 0.0
     for th in thetas:
         p = cos(_angle_float(th) / 2) ** 2
-        tol = 2.0 * binomial_tolerance(p, grid.size)
+        tol = 2.0 * binomial_tolerance(p, grid.modulus)
         f_main = _freq_below_half(cfg_main, th, grid)
         f_alt = _freq_below_half(cfg_alt, th, grid)
         worst_alt = max(worst_alt, abs(f_alt - p))
@@ -607,7 +592,7 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
         "seed_invariance",
         {"negative_control": negative_control, "depth": grid.depth,
          "alt_seed": "constant-0" if negative_control else "concatenated squares"},
-        grid.size, stats, seed, time.perf_counter() - t0)
+        grid.modulus, stats, seed, time.perf_counter() - t0)
     return report
 
 

@@ -5,8 +5,8 @@ operators R_j send a string whose leading digit is j to the constant-j
 string and leave everything else alone, so the compound operator R picks
 the attractor from the leading digit.  The graded one: partial reduction
 deletes digits of a two-symbol string by comparing, at every position,
-the suffix value against a fixed-precision binary threshold t built from
-an angle, t close to cos^2(theta/2).  A hi digit is deleted when its
+the suffix value against a 64-bit binary threshold t built from an
+angle, t close to cos^2(theta/2).  A hi digit is deleted when its
 suffix is strictly below t, a lo digit when its suffix is at or above t
 (ties side with >=).  At t = 1/2 nothing is deleted; at t = 1 only lo
 digits survive; at t = 0 only hi digits survive.
@@ -44,7 +44,8 @@ from typing import Optional, Union
 import mpmath as mp
 import numpy as np
 
-from .digits import DeletionLog, DigitString, _compress, degree_of_normality
+from .digits import (DeletionLog, DigitString, _compress, degree_of_normality,
+                     value_float)
 from .errors import (EmptyResult, LengthNotDivisible, NonConvergence,
                      SuffixTooShort, Tie)
 from .phase import PAdicRational, apply as apply_operator, phase_rotate, \
@@ -79,48 +80,44 @@ AngleLike = Union[float, Fraction, "BinaryThreshold"]
 
 
 class BinaryThreshold:
-    """Fixed-precision base-2 fraction used for suffix comparisons.
+    """64-bit base-2 fraction used for suffix comparisons.
 
-    Holds floor(t * 2**bits) plus an exact-one flag, where t is the target
+    Holds floor(t * 2**64) plus an exact-one flag, where t is the target
     value (normally cos^2(theta/2)); the construction error is below
-    2**-bits.  Angles given as Fractions are exact multiples of pi, so
+    2**-64.  Angles given as Fractions are exact multiples of pi, so
     thresholds like 1/2 at theta = pi/2 come out exact; floats are taken
-    as radians.  The precision is 32 to 64 bits, so the threshold fits
-    the 64-digit comparison window.
+    as radians.  THRESHOLD_BITS is the width of the suffix comparison
+    window, so the threshold's digits all lie inside it.
     """
 
-    __slots__ = ("bits", "t_int", "is_one")
+    __slots__ = ("t_int", "is_one")
 
-    def __init__(self, t_int: int, bits: int = THRESHOLD_BITS):
-        if not 32 <= bits <= 64:
-            raise ValueError("threshold precision must be 32 to 64 bits")
-        if not (0 <= t_int <= 1 << bits):
+    def __init__(self, t_int: int):
+        if not (0 <= t_int <= 1 << THRESHOLD_BITS):
             raise ValueError("t_int out of range")
-        self.bits = bits
         self.t_int = t_int
-        self.is_one = t_int == 1 << bits
+        self.is_one = t_int == 1 << THRESHOLD_BITS
 
     @classmethod
-    def from_angle(cls, theta: AngleLike, bits: int = THRESHOLD_BITS) -> "BinaryThreshold":
+    def from_angle(cls, theta: AngleLike) -> "BinaryThreshold":
         if isinstance(theta, BinaryThreshold):
             return theta
-        with mp.workprec(bits + 96):
+        with mp.workprec(THRESHOLD_BITS + 96):
             if isinstance(theta, Fraction):
                 x = mp.pi * theta.numerator / theta.denominator
             else:
                 x = mp.mpf(theta)
             c2 = mp.cos(x / 2) ** 2
-            y = c2 * (1 << bits)
+            y = c2 * (1 << THRESHOLD_BITS)
             yr = mp.nint(y)
             # snap to the nearest integer when the value is exact to well
             # beyond the working error, otherwise truncate
             t_int = int(yr) if abs(y - yr) < mp.mpf(2) ** (-64) else int(mp.floor(y))
-        t_int = min(max(t_int, 0), 1 << bits)
-        return cls(t_int, bits)
+        return cls(min(max(t_int, 0), 1 << THRESHOLD_BITS))
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.t_int, 1 << self.bits)
+        return Fraction(self.t_int, 1 << THRESHOLD_BITS)
 
     @property
     def digit_string(self) -> DigitString:
@@ -128,17 +125,16 @@ class BinaryThreshold:
         for the exact-one case)."""
         if self.is_one:
             raise ValueError("exact-one threshold has no finite digit expansion")
-        bits = [(self.t_int >> (self.bits - 1 - i)) & 1 for i in range(self.bits)]
-        return DigitString(2, bits)
+        return DigitString(2, [self.digit(j) for j in range(1, THRESHOLD_BITS + 1)])
 
     def digit(self, j: int) -> int:
         """j-th binary digit c_j of the threshold (1-based); exact-one
         reads as .111... repeating."""
         if self.is_one:
             return 1
-        if j > self.bits:
+        if j > THRESHOLD_BITS:
             return 0
-        return (self.t_int >> (self.bits - j)) & 1
+        return (self.t_int >> (THRESHOLD_BITS - j)) & 1
 
     def at_or_below(self, windows: np.ndarray) -> np.ndarray:
         """Boolean array of t <= w for 64-digit suffix windows w (uint64,
@@ -150,12 +146,12 @@ class BinaryThreshold:
         """
         if self.is_one:
             return np.zeros(windows.shape, dtype=bool)
-        return windows >= np.uint64(self.t_int << (64 - self.bits))
+        return windows >= np.uint64(self.t_int)
 
     def __repr__(self) -> str:
         if self.is_one:
             return "BinaryThreshold(1)"
-        return f"BinaryThreshold({self.t_int}/2^{self.bits})"
+        return f"BinaryThreshold({self.t_int}/2^{THRESHOLD_BITS})"
 
 
 def _to_mpf(x):
@@ -164,8 +160,7 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
-def biased_quantile_threshold(theta: AngleLike, zero_density,
-                              bits: int = THRESHOLD_BITS) -> BinaryThreshold:
+def biased_quantile_threshold(theta: AngleLike, zero_density) -> BinaryThreshold:
     """Threshold for reducing an unbalanced two-symbol string at the
     nominal level cos^2(theta/2).
 
@@ -182,7 +177,7 @@ def biased_quantile_threshold(theta: AngleLike, zero_density,
     """
     if isinstance(theta, BinaryThreshold):
         raise TypeError("pass the angle, not a prebuilt threshold")
-    with mp.workprec(bits + 96):
+    with mp.workprec(THRESHOLD_BITS + 96):
         w = _to_mpf(zero_density)
         if not (0 < w < 1):
             raise ValueError("zero_density must lie strictly between 0 and 1")
@@ -193,13 +188,13 @@ def biased_quantile_threshold(theta: AngleLike, zero_density,
         u = mp.cos(x / 2) ** 2
         # snap values that are exact at the working precision, so the
         # anchor angles produce bit-exact thresholds
-        eps = mp.mpf(2) ** (-(bits + 64))
+        eps = mp.mpf(2) ** (-(THRESHOLD_BITS + 64))
         if u > 1 - eps:
-            return BinaryThreshold(1 << bits, bits)
+            return BinaryThreshold(1 << THRESHOLD_BITS)
         if u < eps:
-            return BinaryThreshold(0, bits)
+            return BinaryThreshold(0)
         t_int = 0
-        for _ in range(bits):
+        for _ in range(THRESHOLD_BITS):
             if abs(u - w) < eps:
                 # boundary: the quantile is exactly this dyadic point
                 t_int = (t_int << 1) | 1
@@ -212,7 +207,7 @@ def biased_quantile_threshold(theta: AngleLike, zero_density,
                 u = (u - w) / (1 - w)
                 if u < eps:
                     u = mp.mpf(0)
-    return BinaryThreshold(t_int, bits)
+    return BinaryThreshold(t_int)
 
 
 @dataclass
@@ -231,11 +226,11 @@ class ReductionOutcome:
 def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
     """64-bit suffix windows w_j = .b_j ... b_(j+63) * 2^64 for j < length.
 
-    ``bits`` holds 0/1 digits (bool or integer) and must extend at least
-    64 entries past ``length``, zero padded.  The digits are packed eight
-    to a byte; the window at j = 8i is the big-endian word of bytes
-    i..i+7, and the window at 8i + r shifts that word left by r and takes
-    its last r digits from the top of byte i+8.  Returns uint64.
+    ``bits`` holds 0/1 digits (bool or integer); digits past its end read
+    as zeros.  The digits are packed eight to a byte; the window at j = 8i
+    is the big-endian word of bytes i..i+7, and the window at 8i + r
+    shifts that word left by r and takes its last r digits from the top
+    of byte i+8.  Returns uint64.
     """
     nb = -(-length // 8)
     pk = np.zeros(nb + 8, dtype=np.uint8)
@@ -253,13 +248,10 @@ def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
 
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     """Boolean mask: suffix at position j (zero padded) >= threshold."""
-    L = bits01.size
     if thr.t_int == 0 or thr.is_one:
         # t = 0 is at or below every suffix, t = 1 above every one
-        return np.full(L, thr.t_int == 0)
-    padded = np.zeros(L + 64, dtype=np.uint8)
-    padded[:L] = bits01
-    return thr.at_or_below(_window_u64(padded, L))
+        return np.full(bits01.size, thr.t_int == 0)
+    return thr.at_or_below(_window_u64(bits01, bits01.size))
 
 
 def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
@@ -287,30 +279,28 @@ def project(s: DigitString, j: int) -> tuple[DigitString, DeletionLog]:
     return _compress(s, mask)
 
 
-def partial_reduce(s: DigitString, theta: AngleLike, lo: int = 0, hi: int = 1,
-                   ) -> tuple[DigitString, DeletionLog]:
-    """Angle-parameterized deletion over a two-symbol alphabet {lo, hi}.
+def partial_reduce(s: DigitString, theta: AngleLike) -> tuple[DigitString, DeletionLog]:
+    """Angle-parameterized deletion over the digits {0, 1}.
 
     Every position is tested against the threshold built from ``theta``
-    (or a prebuilt BinaryThreshold): hi digits are deleted when their
-    suffix is strictly below it, lo digits when at or above it.  theta =
+    (or a prebuilt BinaryThreshold): 1s are deleted when their suffix is
+    strictly below it, 0s when at or above it.  The string may hold no
+    other digit, whatever its base.  theta =
     pi/2 (threshold exactly 1/2) returns the string unchanged; theta = 0
-    leaves only lo digits, theta = pi only hi digits.
+    leaves only 0s, theta = pi only 1s.
 
     Inputs shorter than K_GUARD digits are refused (SuffixTooShort): no
     comparison on such a stub is statistically trustworthy.  Raises
     EmptyResult when nothing survives.
     """
-    if lo >= hi or hi >= s.base or lo < 0:
-        raise ValueError("need 0 <= lo < hi < base")
     d = s.digits
-    if ((d != lo) & (d != hi)).any():
-        raise ValueError("string contains digits outside {lo, hi}")
+    if (d > 1).any():
+        raise ValueError("string contains digits other than 0 and 1")
     if len(s) < K_GUARD:
         raise SuffixTooShort(
             f"{len(s)} digits is below the {K_GUARD}-digit comparison guard")
     thr = BinaryThreshold.from_angle(theta)
-    return _compress(s, _deletion_mask(d == hi, thr))
+    return _compress(s, _deletion_mask(d == 1, thr))
 
 
 def reduce_Rj(s: DigitString, j: int) -> ReductionOutcome:
@@ -383,12 +373,7 @@ def _reduced_value(s: DigitString, thr: BinaryThreshold) -> float:
     REDUCED_VALUE_DIGITS surviving digits.  Detects an exact value of 1/2
     and raises Tie, since the drift equation is stationary there."""
     digs = _reduced_prefix(s, thr, REDUCED_VALUE_DIGITS)
-    bits = (digs == 1).astype(np.uint8)
-    n = bits.size
-    acc = 0
-    for b in bits.tolist():
-        acc = (acc << 1) | b
-    val = acc / (1 << n)
+    val = value_float(DigitString(2, digs, _validate=False), REDUCED_VALUE_DIGITS)
     if val == 0.5:
         # first survivor 1 then zeros through the prefix: confirm on the
         # full string before declaring a tie
@@ -446,13 +431,12 @@ def _pole_outcome(theta: float, length: int, steps: int) -> ReductionOutcome:
 
 
 def evolve_ode(theta0: float, lam: PAdicRational, r0: DigitString,
-               alpha: float, dt: float, max_steps: int,
-               tol_pole: float = TOL_POLE) -> OdeResult:
+               alpha: float, dt: float, max_steps: int) -> OdeResult:
     """Forward-Euler integration of dtheta/dt = alpha (r - 1/2) sin(theta).
 
     r is recomputed from the current theta at every step as the value of
     the partially reduced, phase-rotated seed (the longitude is frozen).
-    Terminates within tol_pole of a pole; raises NonConvergence at the
+    Terminates within TOL_POLE of a pole; raises NonConvergence at the
     step budget.  Steps that overshoot a pole are clamped onto it.
     """
     if not (0.0 < theta0 < np.pi):
@@ -465,7 +449,7 @@ def evolve_ode(theta0: float, lam: PAdicRational, r0: DigitString,
     for step in range(max_steps + 1):
         r = _reduced_value(s_lam, BinaryThreshold.from_angle(theta))
         traj.append((theta, r))
-        if theta < tol_pole or theta > np.pi - tol_pole:
+        if theta < TOL_POLE or theta > np.pi - TOL_POLE:
             return OdeResult(traj, _pole_outcome(theta, len(r0), step), lam)
         theta = min(max(theta + alpha * (r - 0.5) * sin(theta) * dt, 0.0), float(np.pi))
     raise NonConvergence(f"no pole reached in {max_steps} steps")
@@ -473,7 +457,7 @@ def evolve_ode(theta0: float, lam: PAdicRational, r0: DigitString,
 
 def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
                         jitter_depth: int, dt: float, alpha: float, seed: int,
-                        max_steps: int = 4096, tol_pole: float = TOL_POLE) -> WalkResult:
+                        max_steps: int = 4096) -> WalkResult:
     """Alternate Euler steps of the drift equation with seeded longitude
     jitter.
 
@@ -481,6 +465,8 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
     drawn uniformly from 1..2^jitter_depth - 1, which re-randomizes r, so
     the theta sequence behaves like a random walk absorbed at the poles.
     jitter_depth = 0 disables the perturbation and reproduces evolve_ode.
+    The longitude is kept as an exact numerator on the finer of the
+    jitter grid and lam0's grid.
 
     Deterministic in (seed, parameters); same seed, same trajectory.
     """
@@ -488,28 +474,21 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
         raise ValueError("theta0 must lie strictly between 0 and pi")
     rng = make_rng(seed)
     depth = max(int(jitter_depth), 0)
-    grid = 1 << depth
-    num = lam0.numerator << (depth - lam0.depth) if depth >= lam0.depth else None
-    if num is None:
-        # jitter grid coarser than lam0: keep exact turns as a Fraction
-        turns = lam0.fraction
+    fine = max(depth, lam0.depth)
+    num = lam0.numerator << (fine - lam0.depth)
     theta = float(theta0)
     traj = []
     for step in range(1, max_steps + 1):
-        q = PAdicRational(2, num, depth) if num is not None else \
-            PAdicRational.from_fraction(turns, 2)
+        q = PAdicRational(2, num, fine)
         prefix = _rotated_prefix(r0, q, 8192)
         r = _reduced_value(prefix, BinaryThreshold.from_angle(theta))
         traj.append((theta, r, q.numerator, q.depth))
         theta = min(max(theta + alpha * (r - 0.5) * sin(theta) * dt, 0.0), float(np.pi))
-        if theta < tol_pole or theta > np.pi - tol_pole:
+        if theta < TOL_POLE or theta > np.pi - TOL_POLE:
             traj.append((theta, None, q.numerator, q.depth))
             return WalkResult(traj, _pole_outcome(theta, len(r0), step))
         if depth > 0:
-            k = int(rng.integers(1, grid))
+            k = int(rng.integers(1, 1 << depth))
             sign = 1 if rng.integers(0, 2) else -1
-            if num is not None:
-                num = (num + sign * k) % grid
-            else:
-                turns = (turns + Fraction(sign * k, grid)) % 1
+            num = (num + (sign * k << (fine - depth))) % (1 << fine)
     raise NonConvergence(f"no pole reached in {max_steps} steps")

@@ -3,7 +3,8 @@
 All randomness in the package flows through counter-based Philox
 generators keyed by 64-bit seeds, so every run is bit-exact reproducible
 from its seed on any platform.  Independent child streams (one per walk,
-one per sampled grid) are derived by the splitmix golden-ratio sequence:
+and one for the walks' starting longitudes) are derived by the splitmix
+golden-ratio sequence:
 
     child(master, index) = master XOR ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64)
 

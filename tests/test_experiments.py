@@ -101,6 +101,11 @@ class TestEPR:
         with pytest.raises(ValueError):
             epr_correlation([])
 
+    def test_ensemble_deeper_than_config_is_off_grid(self):
+        # 100000 pairs need grid depth 17; the EPR config stops at 14
+        with pytest.raises(OffGrid):
+            epr_experiment(Fraction(1, 2), N=100000)
+
 
 class TestPolarization:
     def test_exact_poles(self):
@@ -149,11 +154,9 @@ class TestPolarization:
             polarization_experiment(Fraction(1, 3), SampleGrid(depth=13),
                                     default_config())
 
-    def test_sampled_mode(self):
-        rep = polarization_experiment(Fraction(1, 3),
-                                      SampleGrid(depth=12, count=512, seed=4))
-        assert rep.n == 512
-        assert rep.statistics[0].deviation <= 0.06
+    def test_base3_grid_is_off_grid(self):
+        with pytest.raises(OffGrid):
+            polarization_experiment(Fraction(1, 3), SampleGrid(depth=7, base=3))
 
 
 class TestTraceRule:
@@ -180,6 +183,18 @@ class TestTraceRule:
         a = trace_rule_experiment(**kwargs)
         b = trace_rule_experiment(**kwargs)
         assert a.to_json_dict()["statistics"] == b.to_json_dict()["statistics"]
+
+    @pytest.mark.parametrize("grid1,grid2", [
+        (SampleGrid(depth=9, base=3), SampleGrid(depth=12)),
+        (SampleGrid(depth=7, base=3), SampleGrid(depth=14)),
+        (SampleGrid(depth=7), SampleGrid(depth=12)),
+        (SampleGrid(depth=7, base=3), SampleGrid(depth=7, base=3)),
+    ])
+    def test_grid_off_the_config_is_off_grid(self, grid1, grid2):
+        # the qutrit config has triadic depth 7 and dyadic depth 12
+        with pytest.raises(OffGrid):
+            trace_rule_experiment(Fraction(1, 2), Fraction(1, 3), grid1, grid2,
+                                  n_samples=8, seed=0)
 
     def test_fast_path_matches_constructor(self):
         qcfg = default_qutrit_config()
@@ -211,11 +226,15 @@ class TestInterference:
         with pytest.raises(OffGrid):
             interference_experiment(SampleGrid(depth=13), default_config())
 
+    def test_base3_grid_is_off_grid(self):
+        with pytest.raises(OffGrid):
+            interference_experiment(SampleGrid(depth=7, base=3))
+
     @staticmethod
     def _per_sample_report(grid, cfg):
         # oracle: every sample's 64-digit prefix through the interferometer
         # maps of ``states`` and the compound reduction
-        nums = grid.numerators()
+        nums = np.arange(grid.modulus)
         n = nums.size
         windows = _grid_leading_windows(cfg.seed_string, grid.depth)[nums]
         prefixes = np.unpackbits(windows.astype(">u8").view(np.uint8)).reshape(n, 64)
@@ -241,7 +260,7 @@ class TestInterference:
             Statistic("freq[blocked downstream channel]", blocked_hi / n, 0.5, tol),
             Statistic("two-arm constant-1 violations", full, 0.0, 0.0),
         ]
-        return ExperimentReport("interference", {}, n, stats, grid.seed)
+        return ExperimentReport("interference", {}, n, stats, 0)
 
     @pytest.mark.parametrize("seed_name", ["champernowne", "concatenated_squares",
                                            "constant_0"])
@@ -252,9 +271,7 @@ class TestInterference:
             "constant_0": lambda: DigitString.constant(2, 0, 1 << 18),
         }[seed_name]()
         cfg = StateConfig(seed_string, n_max=12)
-        grids = [SampleGrid(depth=d) for d in (1, 4, 8, 12)]
-        grids.append(SampleGrid(depth=12, count=500, seed=3))
-        for grid in grids:
+        for grid in [SampleGrid(depth=d) for d in (1, 4, 8, 12)]:
             rep = interference_experiment(grid, cfg)
             assert rep.to_csv() == self._per_sample_report(grid, cfg).to_csv()
             assert any(note.startswith("by construction") and "structural" in note
@@ -301,6 +318,12 @@ class TestWeakReduction:
         a = weak_reduction_experiment(Fraction(1, 3), ensemble_size=100, seed=5)
         b = weak_reduction_experiment(Fraction(1, 3), ensemble_size=100, seed=5)
         assert a.to_json_dict()["statistics"] == b.to_json_dict()["statistics"]
+
+    def test_jitter_deeper_than_config_is_off_grid(self):
+        # the default config's grid stops at depth 12
+        with pytest.raises(OffGrid):
+            weak_reduction_experiment(Fraction(1, 3), ensemble_size=4,
+                                      jitter_depth=14)
 
 
 class TestSeedInvariance:

@@ -116,12 +116,12 @@ class TestBinaryThreshold:
         assert t.digit(1) == 1 and t.digit(2) == 0 and t.digit(100) == 0
 
     def test_min_precision(self):
-        # 32 to 64 bits: the threshold must fit the 64-digit window
-        for bits in (16, 65, 80):
+        # t_int is a 64-bit fraction of one: 0 .. 2^64 inclusive
+        for t_int in (-1, (1 << 64) + 1, 1 << 80):
             with pytest.raises(ValueError):
-                BinaryThreshold(0, bits=bits)
-        with pytest.raises(ValueError):
-            BinaryThreshold.from_angle(Fraction(1, 3), bits=80)
+                BinaryThreshold(t_int)
+        assert BinaryThreshold(1 << 64).is_one
+        assert BinaryThreshold(0).value == 0
 
 
 class TestBiasedQuantileThreshold:
@@ -228,13 +228,6 @@ class TestPartialReduce:
         else:
             out, _ = partial_reduce(s, thr)
             assert out.digits.tolist() == expected
-
-    def test_nonstandard_alphabet(self):
-        s = DigitString(3, [1, 2, 2, 1, 1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 2])
-        out12, _ = partial_reduce(s, 1.1, lo=1, hi=2)
-        mapped = DigitString(2, s.digits - 1)
-        out01, _ = partial_reduce(mapped, 1.1)
-        assert (out12.digits - 1).tolist() == out01.digits.tolist()
 
     def test_first_survivor_lemma(self):
         # leading surviving digit is lo exactly when value(s) < threshold
@@ -385,6 +378,20 @@ class TestWeakReductionWalk:
                                 alpha=64.0, seed=42)
         assert a.trajectory == b.trajectory
         assert a.outcome.attractor_index == b.outcome.attractor_index
+
+    def test_jitter_coarser_than_start_longitude(self):
+        # lam0 on the depth-12 grid, jitter on the depth-4 grid: every
+        # visited longitude is lam0 plus a whole number of 1/16 turns
+        r0 = champernowne(2, 1 << 16)
+        lam0 = PAdicRational(2, 1173, 12)
+        a, b = (weak_reduction_walk(1.5, lam0, r0, jitter_depth=4, dt=1.0,
+                                    alpha=2.0, seed=5) for _ in range(2))
+        assert a.trajectory == b.trajectory
+        assert len(a.trajectory) > 3
+        for _, _, num, dep in a.trajectory:
+            offset = (Fraction(num, 1 << dep) - lam0.fraction) * 16
+            assert offset.denominator == 1
+        assert len({(num, dep) for _, _, num, dep in a.trajectory}) > 1
 
     def test_no_jitter_matches_ode_direction(self):
         r0 = champernowne(2, 1 << 16)
