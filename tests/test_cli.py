@@ -80,22 +80,6 @@ class TestStateCommand:
         assert rc == 2
         assert "off-grid" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/3pi", "--samples", "8",
-         "--depth3", "9"],
-        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/3pi", "--samples", "8",
-         "--depth", "14"],
-        ["epr", "--dtheta", "1/2pi", "--pairs", "100000"],
-        ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--jitter-depth", "14"],
-    ])
-    def test_experiment_grid_off_the_config_exits_2(self, argv, capsys):
-        # the same grid contract as `state`: the trace rule's configs stop
-        # at triadic depth 7 and dyadic depth 12, the EPR config at depth
-        # 14 (2^14 pairs), the weak-reduction config at depth 12
-        rc = main(argv)
-        assert rc == 2
-        assert "off-grid" in capsys.readouterr().err
-
 
 class TestExperimentCommands:
     def test_polarization_writes_reports(self, tmp_path, capsys):
@@ -136,6 +120,22 @@ class TestExperimentCommands:
     def test_seed_invariance_negative_control(self, capsys):
         rc = main(["seed-invariance", "--negative-control"])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/3pi", "--samples", "8",
+         "--depth3", "9"],
+        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/3pi", "--samples", "8",
+         "--depth", "14"],
+        ["epr", "--dtheta", "1/2pi", "--pairs", "100000"],
+        ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--jitter-depth", "14"],
+    ])
+    def test_experiment_grid_off_the_config_exits_2(self, argv, capsys):
+        # the same grid contract as `state`: the trace rule's configs stop
+        # at triadic depth 7 and dyadic depth 12, the EPR config at depth
+        # 14 (2^14 pairs), the weak-reduction config at depth 12
+        rc = main(argv)
+        assert rc == 2
+        assert "off-grid" in capsys.readouterr().err
 
 
 class TestSuiteCommand:
