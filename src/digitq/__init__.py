@@ -18,10 +18,10 @@ from .errors import (DegenerateStatistic, DigitqError, EmptyResult,
 from .phase import (BlockOperator, PAdicRational, apply, chi, compose,
                     extend_to, identity_operator, lag_correlation, omega_root,
                     operator_pow, phase_rotate, rotation_operator)
-from .reduction import (BinaryThreshold, OdeResult, ReductionOutcome,
-                        WalkResult, biased_quantile_threshold, evolve_ode,
-                        partial_reduce, project, reduce_Rj, reduce_compound,
-                        trajectory_csv, weak_reduction_walk)
+from .reduction import (BinaryThreshold, ReductionOutcome, WalkResult,
+                        biased_quantile_threshold, partial_reduce, project,
+                        reduce_Rj, reduce_compound, trajectory_csv,
+                        weak_reduction_walk)
 from .states import (BlochPoint, QutritAngles, StateConfig, beamsplitter_pair,
                      blocked_mz_output, composite, decompose, default_config,
                      default_qutrit_config, full_mz_output, hadamard_equiv,

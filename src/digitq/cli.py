@@ -54,6 +54,23 @@ def parse_angle(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _checked(kind, ok, what: str):
+    """argparse type: ``kind`` of the flag's text, a usage error unless
+    ``ok`` holds for it."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+_DEPTH = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_SCALE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+
+
 def _write_reports(reports: list, out: Path | None, fmt: str) -> None:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -81,10 +98,10 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, depth: bool = Fa
     if seed:
         p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     if depth:
-        p.add_argument("--depth", type=int, default=12,
+        p.add_argument("--depth", type=_DEPTH, default=12,
                        help="dyadic longitude grid depth K (grid 2pi j / 2^K)")
     if length:
-        p.add_argument("--length", type=int, default=None,
+        p.add_argument("--length", type=_COUNT, default=None,
                        help="seed string length override (power of two)")
     if reports:
         p.add_argument("--out", type=Path, default=None, help="report directory")
@@ -94,16 +111,14 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, depth: bool = Fa
 
 
 def _config_for(args) -> StateConfig:
-    if args.length is None:
-        return default_config()
+    """The base-2 Champernowne seed of --length digits (default 2^18) on
+    the grid of depth n_max = min(--depth, 12)."""
     n_max = min(args.depth, 12)
-    block = 1 << (n_max + 2)
-    if args.length < 1 or args.length % block:
-        args.parser.error(
-            f"--length {args.length} must be a positive multiple of 2^(n_max+2) = "
-            f"{block}, where n_max = min(--depth, 12) = {n_max}")
-    return StateConfig(champernowne(2, args.length), n_max=n_max,
-                       target_length=args.length // 4)
+    try:
+        return StateConfig(champernowne(2, args.length or 1 << 18), n_max=n_max)
+    except ValueError as exc:
+        args.parser.error(f"--length {args.length}: {exc}, where n_max = "
+                          f"min(--depth, 12) = {n_max}")
 
 
 def main(argv=None) -> int:
@@ -123,14 +138,14 @@ def main(argv=None) -> int:
                        help="3-level attractor frequencies vs the trace rule")
     p.add_argument("--theta1", type=parse_angle, required=True)
     p.add_argument("--theta2", type=parse_angle, required=True)
-    p.add_argument("--samples", type=int, default=1 << 12)
-    p.add_argument("--depth3", type=int, default=7, help="triadic grid depth")
+    p.add_argument("--samples", type=_COUNT, default=1 << 12)
+    p.add_argument("--depth3", type=_DEPTH, default=7, help="triadic grid depth")
     _add_common(p, seed=True, depth=True, reports=True)
 
     p = sub.add_parser("epr", help="pair correlation vs -cos(dtheta)")
     p.add_argument("--dtheta", type=parse_angle, required=True,
                    help="detector misalignment as a multiple of pi")
-    p.add_argument("--pairs", type=int, default=1 << 14)
+    p.add_argument("--pairs", type=_COUNT, default=1 << 14)
     _add_common(p, seed=True, reports=True)
 
     p = sub.add_parser("interference",
@@ -140,10 +155,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("weak-reduction",
                        help="jittered-walk absorption vs cos^2(theta0/2)")
     p.add_argument("--theta0", type=parse_angle, required=True)
-    p.add_argument("--walks", type=int, default=2000)
-    p.add_argument("--jitter-depth", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=4096.0)
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--walks", type=_COUNT, default=2000)
+    p.add_argument("--jitter-depth", type=_DEPTH, default=10)
+    p.add_argument("--alpha", type=_SCALE, default=4096.0)
+    p.add_argument("--dt", type=_SCALE, default=1.0)
     _add_common(p, seed=True, reports=True)
 
     p = sub.add_parser("seed-invariance",
@@ -157,7 +172,7 @@ def main(argv=None) -> int:
     pq = st.add_parser("qubit")
     pq.add_argument("--theta", type=parse_angle, required=True)
     pq.add_argument("--lambda", dest="lam", type=parse_angle, required=True)
-    pq.add_argument("--prefix", type=int, default=64,
+    pq.add_argument("--prefix", type=_COUNT, default=64,
                     help="number of digits to print")
     _add_common(pq, depth=True, length=True)
     pt = st.add_parser("qutrit")
@@ -165,13 +180,13 @@ def main(argv=None) -> int:
     pt.add_argument("--theta2", type=parse_angle, required=True)
     pt.add_argument("--lambda1", dest="lam1", type=parse_angle, required=True)
     pt.add_argument("--lambda2", dest="lam2", type=parse_angle, required=True)
-    pt.add_argument("--prefix", type=int, default=64)
+    pt.add_argument("--prefix", type=_COUNT, default=64)
     _add_common(pt)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
-    p.add_argument("--samples", type=int, default=1 << 12,
+    p.add_argument("--samples", type=_COUNT, default=1 << 12,
                    help="trace-rule sample count")
-    p.add_argument("--walks", type=int, default=2000,
+    p.add_argument("--walks", type=_COUNT, default=2000,
                    help="weak-reduction ensemble size")
     p.add_argument("--negative-control", action="store_true",
                    help="corrupt the seed string; statistics must fail, "
@@ -264,8 +279,7 @@ def _run_suite(args) -> int:
     reports: list[ExperimentReport] = []
 
     if args.negative_control:
-        cfg = StateConfig(DigitString.constant(2, 0, 1 << 18), n_max=12,
-                          target_length=1 << 16)
+        cfg = StateConfig(DigitString.constant(2, 0, 1 << 18), n_max=12)
     else:
         cfg = default_config()
 

@@ -86,6 +86,10 @@ class SampleGrid:
     depth: int
     base: int = 2
 
+    def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError(f"grid depth {self.depth} is negative")
+
     @property
     def modulus(self) -> int:
         return self.base ** self.depth
@@ -213,6 +217,12 @@ def _cached_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     return windows
 
 
+def _check_base2_seed(cfg: StateConfig, experiment: str) -> None:
+    """Dyadic grid sweeps read the seed's digits as bits."""
+    if cfg.seed_string.base != 2:
+        raise ValueError(f"{experiment} needs a base-2 seed")
+
+
 def _check_grid(grid: SampleGrid, base: int, n_max: int) -> None:
     """The grid contract: an experiment's grid must be in the base its
     states rotate in and no deeper than the configured grid depth n_max,
@@ -245,6 +255,7 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
                             ) -> ExperimentReport:
     """Frequency of reduction to the north pole versus cos^2(theta/2)."""
     cfg = cfg or default_config()
+    _check_base2_seed(cfg, "polarization")
     _check_grid(grid, 2, cfg.n_max)
     t0 = time.perf_counter()
     p = cos(_angle_float(theta) / 2) ** 2
@@ -294,6 +305,8 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
                           seed: int = 0) -> ExperimentReport:
     """Attractor frequencies of the compound reduction over sampled
     (triadic, dyadic) longitude pairs versus the trace rule."""
+    if n_samples < 1:
+        raise ValueError("the trace rule needs at least one sample")
     cfg = cfg or default_qutrit_config()
     _check_grid(grid1, 3, cfg.n_max)
     _check_grid(grid2, 2, cfg.dyadic_depth)
@@ -356,7 +369,7 @@ class EntangledPair:
 
 def epr_config() -> StateConfig:
     """Seed sized for pair ensembles up to 2^14 at grid depth 14."""
-    return StateConfig(champernowne(2, 1 << 16), n_max=14, target_length=1 << 14)
+    return StateConfig(champernowne(2, 1 << 16), n_max=14)
 
 
 def _ensemble_depth(N: int, cfg: StateConfig) -> int:
@@ -453,6 +466,7 @@ def interference_experiment(grid: SampleGrid, cfg: Optional[StateConfig] = None,
     reported as 0 for every seed string.
     """
     cfg = cfg or default_config()
+    _check_base2_seed(cfg, "interference")
     _check_grid(grid, 2, cfg.n_max)
     t0 = time.perf_counter()
     n = grid.modulus
@@ -498,6 +512,8 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     longitudes.  With small steps the drift term dominates the jitter
     noise and every walk saturates into its nearer pole instead.
     """
+    if ensemble_size < 1:
+        raise ValueError("weak reduction needs at least one walk")
     cfg = cfg or default_config()
     _check_grid(SampleGrid(depth=jitter_depth), 2, cfg.n_max)
     t0 = time.perf_counter()
@@ -556,14 +572,14 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
     """
     t0 = time.perf_counter()
     cfg_main = cfg_main or default_config()
+    _check_base2_seed(cfg_main, "seed invariance")
     if negative_control:
         cfg_alt = StateConfig(DigitString.constant(2, 0, len(cfg_main.seed_string)),
-                              n_max=cfg_main.n_max,
-                              target_length=cfg_main.target_length)
+                              n_max=cfg_main.n_max)
     elif cfg_alt is None:
         cfg_alt = StateConfig(concatenated_squares(2, len(cfg_main.seed_string)),
-                              n_max=cfg_main.n_max,
-                              target_length=cfg_main.target_length)
+                              n_max=cfg_main.n_max)
+    _check_base2_seed(cfg_alt, "seed invariance")
     grid = SampleGrid(depth=10)
     _check_grid(grid, 2, cfg_main.n_max)
     _check_grid(grid, 2, cfg_alt.n_max)

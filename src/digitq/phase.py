@@ -344,16 +344,17 @@ def rotation_operator(q: PAdicRational) -> BlockOperator:
 def phase_rotate(s: DigitString, q: PAdicRational) -> DigitString:
     """Rotate the string's phase by the angle 2*pi*q (q p-adic, base of s).
 
-    q = 0 is the identity; for base 2, q = 1/2 is the elementwise
-    complement and q = 1/4 is one application of the depth-1 operator.
+    An integral q is the identity, and no other q is: the rotation by
+    m/p^n with p not dividing m is a power of a root of order p^n.  For
+    base 2, q = 1/2 is the elementwise complement and q = 1/4 is one
+    application of the depth-1 operator.
     The string length must be divisible by the operator block size.
     """
     if q.base != s.base:
         raise ValueError(f"rotation base {q.base} does not match string base {s.base}")
-    op = rotation_operator(q)
-    if op.is_identity():
+    if q.depth == 0:
         return s
-    return apply(op, s)
+    return apply(rotation_operator(q), s)
 
 
 def _pearson_lag1(values: np.ndarray) -> float:

@@ -25,13 +25,13 @@ surviving digit is lo exactly when the whole-string value is below t
 lo digit below t is kept on the spot, symmetrically for >=).
 
 The drift equation dtheta/dt = alpha (r - 1/2) sin(theta) closes the
-loop: r is recomputed from the current theta each Euler step, and because
+loop in one integrator, ``weak_reduction_walk``: r is recomputed from the
+current theta and longitude each Euler step, on only as much of the
+rotated seed as its leading survivors need.  With the longitude frozen
 the first-survivor digit cannot flip as the threshold moves with the
-drift direction, the trajectory runs monotonically into the pole selected
-by the initial sign of r - 1/2.  A weak-reduction walk interleaves Euler
-steps with seeded jitter of the longitude, which re-randomizes r each
-step and turns absorption into a gambler's-ruin-style walk between the
-poles.
+drift, so theta runs monotonically into the pole selected by the initial
+sign of r - 1/2; seeded longitude jitter re-randomizes r each step and
+turns absorption into a gambler's-ruin-style walk between the poles.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from .digits import (DeletionLog, DigitString, _compress, degree_of_normality,
                      value_float)
 from .errors import (EmptyResult, LengthNotDivisible, NonConvergence,
                      SuffixTooShort, Tie)
-from .phase import PAdicRational, apply as apply_operator, phase_rotate, \
-    rotation_operator
+from .phase import PAdicRational, apply as apply_operator, rotation_operator
 from .rng import make_rng
 
 __all__ = [
@@ -63,17 +62,15 @@ __all__ = [
     "partial_reduce",
     "reduce_Rj",
     "reduce_compound",
-    "evolve_ode",
     "weak_reduction_walk",
     "trajectory_csv",
     "degree_of_normality",
-    "OdeResult",
     "WalkResult",
 ]
 
 THRESHOLD_BITS = 64          # binary digits kept of cos^2(theta/2)
 K_GUARD = 16                 # minimum string length for trusted comparisons
-TOL_POLE = 1e-6              # radians; ODE termination band around 0 and pi
+TOL_POLE = 1e-6              # radians; walk termination band around 0 and pi
 REDUCED_VALUE_DIGITS = 96    # surviving digits read for the drift's r value
 
 AngleLike = Union[float, Fraction, "BinaryThreshold"]
@@ -321,19 +318,20 @@ def reduce_compound(s: DigitString) -> ReductionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# fast prefix evaluation (shared by the ODE, the walk and the harness)
+# fast prefix evaluation (shared by the walk and the 3-level pipeline)
 
 
 def _rotated_prefix(r0: DigitString, q: PAdicRational, n_digits: int) -> DigitString:
-    """Prefix of phase_rotate(r0, q) of at least n_digits digits.
+    """Prefix of phase_rotate(r0, q) of at least n_digits digits, or the
+    whole-block part of r0 rotated when it is shorter.
 
     Blocks transform independently, so rotating the first ceil(n/B)*B
     digits gives an exact prefix of the full rotation, without touching
-    the rest of the string.
+    the rest of the string.  An integral q (depth 0) is the identity.
     """
+    if q.depth == 0:
+        return r0 if n_digits >= len(r0) else r0.prefix(n_digits)
     op = rotation_operator(q)
-    if op.is_identity():
-        return r0 if n_digits >= len(r0) else r0.prefix(min(n_digits, len(r0)))
     n = min(len(r0) - len(r0) % op.size,
             ((n_digits + op.size - 1) // op.size) * op.size)
     if n == 0:
@@ -342,62 +340,50 @@ def _rotated_prefix(r0: DigitString, q: PAdicRational, n_digits: int) -> DigitSt
     return apply_operator(op, r0.prefix(n))
 
 
-def _reduced_prefix(s: DigitString, thr: BinaryThreshold, want: int) -> np.ndarray:
+def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
+                    want: int) -> np.ndarray:
     """First min(want, total) surviving digits of the 0/1 partial
-    reduction, scanning the string in chunks so near-pole states stay
-    cheap."""
-    d = s.digits
-    L = d.size
-    out: list[np.ndarray] = []
-    got = 0
-    start = 0
-    chunk = 4096
-    while start < L and got < want:
-        end = min(L, start + chunk)
-        # the chunk plus the 64 digits its last windows read
-        seg = d[start:min(L, end + 64)]
-        keep = ~_deletion_mask(seg == 1, thr)[:end - start]
-        survivors = seg[:end - start][keep]
-        out.append(survivors)
-        got += survivors.size
-        start = end
-        chunk *= 2
-    if got == 0:
+    reduction of phase_rotate(r0, q), rotating only the prefix they need.
+
+    The deletion decision at a place reads the THRESHOLD_BITS digits from
+    there on, so a rotated prefix of n + THRESHOLD_BITS digits decides its
+    first n places.  n starts at 4096 and doubles until ``want`` survivors
+    are decided or the whole string is read, so near-pole states stay
+    cheap.
+    """
+    n = 4096
+    while True:
+        s = _rotated_prefix(r0, q, n + THRESHOLD_BITS)
+        d = s.digits
+        whole = len(s) < n + THRESHOLD_BITS
+        decided = d if whole else d[:n]
+        survivors = decided[~_deletion_mask(d == 1, thr)[:decided.size]]
+        if survivors.size >= want or whole:
+            break
+        n *= 2
+    if survivors.size == 0:
         raise EmptyResult("no digit survives the reduction")
-    merged = np.concatenate(out) if len(out) > 1 else out[0]
-    return merged[:want]
+    return survivors[:want]
 
 
-def _reduced_value(s: DigitString, thr: BinaryThreshold) -> float:
-    """Float value of partial_reduce(s, thr) from its first
-    REDUCED_VALUE_DIGITS surviving digits.  Detects an exact value of 1/2
-    and raises Tie, since the drift equation is stationary there."""
-    digs = _reduced_prefix(s, thr, REDUCED_VALUE_DIGITS)
+def _reduced_value(r0: DigitString, q: PAdicRational, thr: BinaryThreshold) -> float:
+    """Float value of partial_reduce(phase_rotate(r0, q), thr) from its
+    first REDUCED_VALUE_DIGITS surviving digits.  Detects an exact value
+    of 1/2 and raises Tie, since the drift equation is stationary there."""
+    digs = _reduced_prefix(r0, q, thr, REDUCED_VALUE_DIGITS)
     val = value_float(DigitString(2, digs, _validate=False), REDUCED_VALUE_DIGITS)
-    if val == 0.5:
-        # first survivor 1 then zeros through the prefix: confirm on the
-        # full string before declaring a tie
-        full, _ = partial_reduce(s, thr)
-        if full.value() == Fraction(1, 2):
+    if val == 0.5 and digs[0] == 1:
+        # the value is exactly 1/2 only if no later survivor of the whole
+        # rotated string is a 1; otherwise it lies within 2^-96 of 1/2,
+        # as its first survivors do, and its float is 0.5 too
+        full, _ = partial_reduce(_rotated_prefix(r0, q, len(r0)), thr)
+        if not full.digits[1:].any():
             raise Tie("reduced value is exactly 1/2")
-        val = float(full.value())
     return val
 
 
 # ---------------------------------------------------------------------------
 # drift dynamics
-
-
-@dataclass
-class OdeResult:
-    trajectory: list  # (theta, r) per step, including the initial point
-    outcome: ReductionOutcome
-    lam: Optional[PAdicRational] = None
-
-    def csv_rows(self) -> list:
-        num, dep = (self.lam.numerator, self.lam.depth) if self.lam else ("", "")
-        return [[i, repr(th), repr(r), num, dep]
-                for i, (th, r) in enumerate(self.trajectory)]
 
 
 @dataclass
@@ -409,86 +395,59 @@ class WalkResult:
     def thetas(self) -> list:
         return [row[0] for row in self.trajectory]
 
-    def csv_rows(self) -> list:
-        return [[i, repr(th), "" if r is None else repr(r), num, dep]
-                for i, (th, r, num, dep) in enumerate(self.trajectory)]
-
 
 TRAJECTORY_CSV_HEADER = ["step", "theta", "r_value", "lambda_numerator",
                          "lambda_depth"]
 
 
-def trajectory_csv(result: Union[OdeResult, WalkResult]) -> str:
-    """CSV text of a trajectory, one row per step."""
+def trajectory_csv(result: WalkResult) -> str:
+    """CSV text of a trajectory, one row per step; the absorbed last row
+    has an empty r_value."""
     lines = [",".join(TRAJECTORY_CSV_HEADER)]
-    lines.extend(",".join(str(c) for c in row) for row in result.csv_rows())
+    lines.extend(f"{i},{th!r},{'' if r is None else repr(r)},{num},{dep}"
+                 for i, (th, r, num, dep) in enumerate(result.trajectory))
     return "\n".join(lines) + "\n"
-
-
-def _pole_outcome(theta: float, length: int, steps: int) -> ReductionOutcome:
-    j = 0 if theta <= np.pi / 2 else 1
-    return ReductionOutcome(DigitString.constant(2, j, length), j, steps)
-
-
-def evolve_ode(theta0: float, lam: PAdicRational, r0: DigitString,
-               alpha: float, dt: float, max_steps: int) -> OdeResult:
-    """Forward-Euler integration of dtheta/dt = alpha (r - 1/2) sin(theta).
-
-    r is recomputed from the current theta at every step as the value of
-    the partially reduced, phase-rotated seed (the longitude is frozen).
-    Terminates within TOL_POLE of a pole; raises NonConvergence at the
-    step budget.  Steps that overshoot a pole are clamped onto it.
-    """
-    if not (0.0 < theta0 < np.pi):
-        raise ValueError("theta0 must lie strictly between 0 and pi")
-    if alpha <= 0 or dt <= 0:
-        raise ValueError("alpha and dt must be positive")
-    s_lam = phase_rotate(r0, lam)
-    theta = float(theta0)
-    traj = []
-    for step in range(max_steps + 1):
-        r = _reduced_value(s_lam, BinaryThreshold.from_angle(theta))
-        traj.append((theta, r))
-        if theta < TOL_POLE or theta > np.pi - TOL_POLE:
-            return OdeResult(traj, _pole_outcome(theta, len(r0), step), lam)
-        theta = min(max(theta + alpha * (r - 0.5) * sin(theta) * dt, 0.0), float(np.pi))
-    raise NonConvergence(f"no pole reached in {max_steps} steps")
 
 
 def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
                         jitter_depth: int, dt: float, alpha: float, seed: int,
                         max_steps: int = 4096) -> WalkResult:
-    """Alternate Euler steps of the drift equation with seeded longitude
-    jitter.
+    """Forward-Euler integration of dtheta/dt = alpha (r - 1/2) sin(theta)
+    with seeded longitude jitter between steps.
 
-    After each step the longitude moves by +-k * 2pi/2^jitter_depth with k
-    drawn uniformly from 1..2^jitter_depth - 1, which re-randomizes r, so
-    the theta sequence behaves like a random walk absorbed at the poles.
-    jitter_depth = 0 disables the perturbation and reproduces evolve_ode.
-    The longitude is kept as an exact numerator on the finer of the
-    jitter grid and lam0's grid.
-
-    Deterministic in (seed, parameters); same seed, same trajectory.
+    r is the value of the partially reduced seed, rotated to the current
+    longitude, at the current theta.  After each step the longitude moves
+    by +-k * 2pi/2^jitter_depth, k uniform in 1..2^jitter_depth - 1, which
+    re-randomizes r: theta walks at random until a pole absorbs it.  At
+    jitter_depth = 0 the longitude stays lam0 and this is the drift ODE.
+    The longitude is an exact numerator on the finer of the jitter grid
+    and lam0's grid.  Overshooting steps are clamped onto the pole; the
+    walk ends within TOL_POLE of one, on a row whose r is None, and raises
+    NonConvergence at the step budget.  Same seed, same trajectory.
     """
     if not (0.0 < theta0 < np.pi):
         raise ValueError("theta0 must lie strictly between 0 and pi")
+    if not (alpha > 0 and dt > 0):
+        raise ValueError("alpha and dt must be positive")
+    if jitter_depth < 0:
+        raise ValueError("jitter_depth must be non-negative")
     rng = make_rng(seed)
-    depth = max(int(jitter_depth), 0)
-    fine = max(depth, lam0.depth)
+    fine = max(jitter_depth, lam0.depth)
     num = lam0.numerator << (fine - lam0.depth)
     theta = float(theta0)
     traj = []
     for step in range(1, max_steps + 1):
         q = PAdicRational(2, num, fine)
-        prefix = _rotated_prefix(r0, q, 8192)
-        r = _reduced_value(prefix, BinaryThreshold.from_angle(theta))
+        r = _reduced_value(r0, q, BinaryThreshold.from_angle(theta))
         traj.append((theta, r, q.numerator, q.depth))
         theta = min(max(theta + alpha * (r - 0.5) * sin(theta) * dt, 0.0), float(np.pi))
         if theta < TOL_POLE or theta > np.pi - TOL_POLE:
             traj.append((theta, None, q.numerator, q.depth))
-            return WalkResult(traj, _pole_outcome(theta, len(r0), step))
-        if depth > 0:
-            k = int(rng.integers(1, 1 << depth))
+            j = 0 if theta <= np.pi / 2 else 1
+            return WalkResult(traj, ReductionOutcome(
+                DigitString.constant(2, j, len(r0)), j, step))
+        if jitter_depth > 0:
+            k = int(rng.integers(1, 1 << jitter_depth))
             sign = 1 if rng.integers(0, 2) else -1
-            num = (num + (sign * k << (fine - depth))) % (1 << fine)
+            num = (num + (sign * k << (fine - jitter_depth))) % (1 << fine)
     raise NonConvergence(f"no pole reached in {max_steps} steps")

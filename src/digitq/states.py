@@ -117,8 +117,8 @@ class StateConfig:
     For a base-2 seed the length must be a multiple of 2**(n_max + 2) so
     every on-grid rotation applies blockwise.  ``inner_dyadic_depth``
     bounds the dyadic grid used inside the 3-level pipeline (defaults to
-    n_max).  ``target_length`` is carried from config to config but no
-    code reads it: the constructors keep every surviving digit of the
+    n_max).  ``target_length`` is accepted for callers that pass it, but
+    no code reads it: the constructors keep every surviving digit of the
     whole seed, so output lengths follow from the seed length and the
     angles.
     """
@@ -148,13 +148,12 @@ class StateConfig:
 
 def default_config() -> StateConfig:
     """Champernowne base-2 seed of 2^18 digits, grid depth 12."""
-    return StateConfig(champernowne(2, 1 << 18), n_max=12, target_length=1 << 16)
+    return StateConfig(champernowne(2, 1 << 18), n_max=12)
 
 
 def default_qutrit_config() -> StateConfig:
     """Champernowne base-3 seed of 3^11 digits, triadic depth 7, dyadic 12."""
-    return StateConfig(champernowne(3, 3 ** 11), n_max=7,
-                       target_length=1 << 14, inner_dyadic_depth=12)
+    return StateConfig(champernowne(3, 3 ** 11), n_max=7, inner_dyadic_depth=12)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,33 @@ class TestStateCommand:
         assert rc == 2
         assert "off-grid" in err
 
+    def test_depth_bounds_the_grid_without_length(self, capsys):
+        # 1/1024 pi is 1/2048 of a turn, depth 11, off the depth-3 grid
+        rc = main(["state", "qubit", "--theta", "1/2pi", "--lambda", "1/1024pi",
+                   "--depth", "3"])
+        assert rc == 2
+        assert "off-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["epr", "--dtheta", "1/2pi", "--pairs", "0"],
+        ["weak-reduction", "--theta0", "1/2pi", "--walks", "0"],
+        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/3pi", "--samples", "0"],
+        ["polarization", "--theta", "1/3pi", "--depth", "-1"],
+        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/3pi", "--samples", "8",
+         "--depth3", "-1"],
+        ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--jitter-depth", "-2"],
+        ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--dt", "-1"],
+        ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--alpha", "0"],
+        ["state", "qubit", "--theta", "1/2pi", "--lambda", "0", "--prefix", "0"],
+        ["suite", "--samples", "0"],
+    ])
+    def test_out_of_range_values_are_usage_errors(self, argv, capsys):
+        # counts are at least 1, depths at least 0, alpha and dt positive
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: {argv[-1]} is not" in capsys.readouterr().err
+
 
 class TestExperimentCommands:
     def test_polarization_writes_reports(self, tmp_path, capsys):

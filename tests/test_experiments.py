@@ -26,6 +26,14 @@ from digitq.states import (BlochPoint, QutritAngles, StateConfig,
                            qutrit_thresholds)
 
 
+class TestSampleGrid:
+    def test_negative_depth_is_refused(self):
+        with pytest.raises(ValueError):
+            SampleGrid(depth=-1)
+        with pytest.raises(ValueError):
+            SampleGrid(depth=-1, base=3)
+
+
 class TestIndexPartition:
     def test_printed_example(self):
         p = index_partition(12)
@@ -158,6 +166,12 @@ class TestPolarization:
         with pytest.raises(OffGrid):
             polarization_experiment(Fraction(1, 3), SampleGrid(depth=7, base=3))
 
+    def test_base3_seed_is_refused(self):
+        # the sweep reads the seed's digits as bits
+        with pytest.raises(ValueError, match="needs a base-2 seed"):
+            polarization_experiment(Fraction(1, 3), SampleGrid(depth=7),
+                                    default_qutrit_config())
+
 
 class TestTraceRule:
     def test_small_run_passes(self):
@@ -196,6 +210,12 @@ class TestTraceRule:
             trace_rule_experiment(Fraction(1, 2), Fraction(1, 3), grid1, grid2,
                                   n_samples=8, seed=0)
 
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            trace_rule_experiment(Fraction(1, 2), Fraction(1, 3),
+                                  SampleGrid(depth=7, base=3), SampleGrid(depth=12),
+                                  n_samples=0, seed=0)
+
     def test_fast_path_matches_constructor(self):
         qcfg = default_qutrit_config()
         rng = make_rng(3)
@@ -229,6 +249,10 @@ class TestInterference:
     def test_base3_grid_is_off_grid(self):
         with pytest.raises(OffGrid):
             interference_experiment(SampleGrid(depth=7, base=3))
+
+    def test_base3_seed_is_refused(self):
+        with pytest.raises(ValueError, match="needs a base-2 seed"):
+            interference_experiment(SampleGrid(depth=7), default_qutrit_config())
 
     @staticmethod
     def _per_sample_report(grid, cfg):
@@ -325,6 +349,10 @@ class TestWeakReduction:
             weak_reduction_experiment(Fraction(1, 3), ensemble_size=4,
                                       jitter_depth=14)
 
+    def test_needs_a_walk(self):
+        with pytest.raises(ValueError):
+            weak_reduction_experiment(Fraction(1, 3), ensemble_size=0)
+
 
 class TestSeedInvariance:
     def test_both_seeds_pass(self):
@@ -347,6 +375,13 @@ class TestSeedInvariance:
             seed_invariance_suite(shallow)
         with pytest.raises(OffGrid):
             seed_invariance_suite(default_config(), shallow)
+
+    def test_base3_seed_is_refused(self):
+        # deep enough for the depth-10 sweep, but its digits are not bits
+        ternary = StateConfig(champernowne(3, 3 ** 11), n_max=10)
+        for main, alt in ((ternary, default_config()), (default_config(), ternary)):
+            with pytest.raises(ValueError, match="needs a base-2 seed"):
+                seed_invariance_suite(main, alt)
 
 
 class TestReports:

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from digitq.digits import DigitString, champernowne, value
 from digitq.errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
 from digitq.phase import PAdicRational, phase_rotate
-from digitq.reduction import (BinaryThreshold, _reduced_value, _window_u64,
-                              biased_quantile_threshold, evolve_ode,
+from digitq.reduction import (BinaryThreshold, _reduced_prefix, _reduced_value,
+                              _window_u64, biased_quantile_threshold,
                               partial_reduce, project, reduce_Rj,
                               reduce_compound, weak_reduction_walk)
 
@@ -328,12 +328,15 @@ class TestProbabilityLemma:
 
 
 class TestEvolveODE:
+    """The drift ODE: the walk with its longitude frozen (jitter depth 0)."""
+
     def test_monotone_descent_to_south(self):
         r0 = champernowne(2, 1 << 14)
         lam = PAdicRational(2, 3, 4)
-        res = evolve_ode(2.0, lam, r0, alpha=0.8, dt=0.25, max_steps=4000)
-        thetas = [t for t, _ in res.trajectory]
-        rs = [r for _, r in res.trajectory]
+        res = weak_reduction_walk(2.0, lam, r0, jitter_depth=0, dt=0.25,
+                                  alpha=0.8, seed=0, max_steps=4000)
+        thetas = res.thetas
+        rs = [row[1] for row in res.trajectory[:-1]]
         if rs[0] >= 0.5:
             assert res.outcome.attractor_index == 1
             assert all(b >= a - 1e-12 for a, b in zip(thetas, thetas[1:]))
@@ -345,27 +348,102 @@ class TestEvolveODE:
     def test_alpha_doubling_halves_steps(self):
         r0 = champernowne(2, 1 << 14)
         lam = PAdicRational(2, 5, 6)
-        slow = evolve_ode(1.2, lam, r0, alpha=0.4, dt=0.1, max_steps=20000)
-        fast = evolve_ode(1.2, lam, r0, alpha=0.8, dt=0.1, max_steps=20000)
+        slow, fast = (weak_reduction_walk(1.2, lam, r0, jitter_depth=0, dt=0.1,
+                                          alpha=alpha, seed=0, max_steps=20000)
+                      for alpha in (0.4, 0.8))
         ratio = slow.outcome.steps / fast.outcome.steps
         assert ratio == pytest.approx(2.0, rel=0.2)
 
     def test_nonconvergence(self):
         r0 = champernowne(2, 1 << 14)
         with pytest.raises(NonConvergence):
-            evolve_ode(1.5, PAdicRational(2, 1, 3), r0, alpha=1e-6, dt=1e-3,
-                       max_steps=10)
+            weak_reduction_walk(1.5, PAdicRational(2, 1, 3), r0, jitter_depth=0,
+                                dt=1e-3, alpha=1e-6, seed=0, max_steps=10)
 
     def test_tie_detection(self):
         # a state whose reduced value is exactly 1/2 at theta = pi/2
         r0 = DigitString(2, [1] + [0] * 63)
         with pytest.raises(Tie):
-            _reduced_value(r0, BinaryThreshold.from_angle(Fraction(1, 2)))
+            _reduced_value(r0, PAdicRational(2, 0, 0),
+                           BinaryThreshold.from_angle(Fraction(1, 2)))
 
     def test_rejects_poles(self):
         r0 = champernowne(2, 1 << 12)
         with pytest.raises(ValueError):
-            evolve_ode(0.0, PAdicRational(2, 1, 3), r0, 1.0, 0.1, 10)
+            weak_reduction_walk(0.0, PAdicRational(2, 1, 3), r0, jitter_depth=0,
+                                dt=0.1, alpha=1.0, seed=0, max_steps=10)
+
+    @pytest.mark.parametrize("alpha,dt,jitter_depth", [
+        (0.0, 0.1, 0), (-1.0, 0.1, 0), (1.0, 0.0, 0), (1.0, -1.0, 4),
+        (float("nan"), 0.1, 0), (1.0, 0.1, -1)])
+    def test_rejects_nonpositive_alpha_dt_and_negative_jitter(self, alpha, dt,
+                                                               jitter_depth):
+        r0 = champernowne(2, 1 << 12)
+        with pytest.raises(ValueError):
+            weak_reduction_walk(1.5, PAdicRational(2, 1, 3), r0, jitter_depth,
+                                dt=dt, alpha=alpha, seed=0, max_steps=10)
+
+
+class TestReducedPrefix:
+    """``_reduced_prefix`` rotates only the prefix it reads; the oracle
+    rotates and reduces the whole string."""
+
+    @staticmethod
+    def oracle(r0, q, thr, want):
+        try:
+            full, _ = partial_reduce(phase_rotate(r0, q), thr)
+        except EmptyResult:
+            return None
+        return full.digits[:want]
+
+    def check(self, r0, q, thr, want=96):
+        expected = self.oracle(r0, q, thr, want)
+        if expected is None:
+            with pytest.raises(EmptyResult):
+                _reduced_prefix(r0, q, thr, want)
+        else:
+            assert np.array_equal(_reduced_prefix(r0, q, thr, want), expected)
+
+    def test_random_strings_angles_and_thresholds(self):
+        rng = np.random.default_rng(91)
+        for _ in range(60):
+            r0 = DigitString(2, rng.integers(0, 2, int(rng.integers(1, 9)) << 11,
+                                             dtype=np.uint8))
+            depth = int(rng.integers(0, 13))
+            q = PAdicRational(2, int(rng.integers(0, 1 << depth)), depth)
+            # thresholds anywhere, and near the poles, where few digits survive
+            t_int = int(rng.choice([int(rng.integers(0, 1 << 62)) << 2,
+                                    int(rng.integers(0, 1 << 8)),
+                                    (1 << 64) - int(rng.integers(0, 1 << 8))]))
+            self.check(r0, q, BinaryThreshold(t_int))
+
+    def test_prefix_doubles_when_survivors_are_sparse(self):
+        # only the 0 of each 64-digit period survives t = 1 - 2^-64, so 96
+        # survivors need 6144 digits, more than the first 4096 + 64
+        r0 = DigitString(2, ([1] * 63 + [0]) * 256)
+        thr = BinaryThreshold((1 << 64) - 1)
+        got = _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96)
+        assert got.size == 96 and not got.any()
+        self.check(r0, PAdicRational(2, 0, 0), thr)
+        self.check(r0, PAdicRational(2, 3, 5), thr)
+
+    def test_places_past_the_decided_prefix_wait_for_their_digits(self):
+        # at t = 2^-64 every 1 survives and a 0 only before 63 more 0s.
+        # The first 4096 places hold 94 survivors, place 4096 is a 1, and
+        # the 0s at 4097..4159 die by the 1 at 4160, which the first
+        # 4160-digit prefix does not reach: the 96th survivor is that 1
+        r0 = DigitString(2, ([0] * 63 + [1]) * 34 + ([0] * 31 + [1]) * 60
+                         + [1] + [0] * 63 + [1] + ([0] * 63 + [1]) * 30)
+        thr = BinaryThreshold(1)
+        got = _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96)
+        assert got[94:].tolist() == [1, 1]
+        self.check(r0, PAdicRational(2, 0, 0), thr)
+
+    def test_whole_string_read_when_survivors_run_out(self):
+        r0 = DigitString(2, ([1] * 63 + [0]) * 32)
+        thr = BinaryThreshold((1 << 64) - 1)
+        assert _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96).size == 32
+        self.check(r0, PAdicRational(2, 0, 0), thr)
 
 
 class TestWeakReductionWalk:
@@ -393,15 +471,6 @@ class TestWeakReductionWalk:
             assert offset.denominator == 1
         assert len({(num, dep) for _, _, num, dep in a.trajectory}) > 1
 
-    def test_no_jitter_matches_ode_direction(self):
-        r0 = champernowne(2, 1 << 16)
-        lam = PAdicRational(2, 5, 8)
-        walk = weak_reduction_walk(1.9, lam, r0, jitter_depth=0, dt=0.25,
-                                   alpha=0.8, seed=7, max_steps=8000)
-        ode = evolve_ode(1.9, lam, r0, alpha=0.8, dt=0.25, max_steps=8000)
-        assert walk.outcome.attractor_index == ode.outcome.attractor_index
-        assert walk.outcome.steps == ode.outcome.steps
-
     def test_trajectory_recorded(self):
         r0 = champernowne(2, 1 << 16)
         res = weak_reduction_walk(1.5, PAdicRational(2, 0, 0), r0,
@@ -413,7 +482,8 @@ class TestWeakReductionWalk:
         from digitq.reduction import trajectory_csv
         r0 = champernowne(2, 1 << 14)
         lam = PAdicRational(2, 3, 4)
-        ode = evolve_ode(2.0, lam, r0, alpha=0.8, dt=0.25, max_steps=4000)
+        ode = weak_reduction_walk(2.0, lam, r0, jitter_depth=0, dt=0.25,
+                                  alpha=0.8, seed=0, max_steps=4000)
         text = trajectory_csv(ode)
         lines = text.strip().splitlines()
         assert lines[0] == "step,theta,r_value,lambda_numerator,lambda_depth"
