@@ -69,6 +69,7 @@ def _checked(kind, ok, what: str):
 _COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
 _DEPTH = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _SCALE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_SEED = _checked(int, lambda v: 0 <= v < 1 << 64, "a 64-bit seed (0 to 2^64 - 1)")
 
 
 def _write_reports(reports: list, out: Path | None, fmt: str) -> None:
@@ -96,7 +97,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, depth: bool = Fa
     --seed, --depth, --length, and --out/--format for those writing
     reports.  Any other flag is a usage error."""
     if seed:
-        p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+        p.add_argument("--seed", type=_SEED, default=0, help="64-bit experiment seed")
     if depth:
         p.add_argument("--depth", type=_DEPTH, default=12,
                        help="dyadic longitude grid depth K (grid 2pi j / 2^K)")

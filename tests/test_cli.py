@@ -99,9 +99,13 @@ class TestStateCommand:
         ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--alpha", "0"],
         ["state", "qubit", "--theta", "1/2pi", "--lambda", "0", "--prefix", "0"],
         ["suite", "--samples", "0"],
+        ["epr", "--dtheta", "1/2pi", "--seed", "-1"],
+        ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--seed", str(1 << 64)],
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, capsys):
-        # counts are at least 1, depths at least 0, alpha and dt positive
+        # counts are at least 1, depths at least 0, alpha and dt positive,
+        # seeds in 0..2^64 - 1 (make_rng reads a seed mod 2^64, so -1 and
+        # 2^64 - 1 would give the same statistics under different seeds)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -367,6 +367,14 @@ class TestEvolveODE:
             _reduced_value(r0, PAdicRational(2, 0, 0),
                            BinaryThreshold.from_angle(Fraction(1, 2)))
 
+    def test_near_tie_reads_half(self):
+        # within 2^-96 of 1/2 but not equal: a 1 after 200 zeros, or 0 then
+        # a run of 1s; nothing is deleted at theta = pi/2
+        thr = BinaryThreshold.from_angle(Fraction(1, 2))
+        for digits in ([1] + [0] * 200 + [1] + [0] * 55, [0] + [1] * 255):
+            assert _reduced_value(DigitString(2, digits), PAdicRational(2, 0, 0),
+                                  thr) == 0.5
+
     def test_rejects_poles(self):
         r0 = champernowne(2, 1 << 12)
         with pytest.raises(ValueError):
@@ -411,7 +419,7 @@ class TestReducedPrefix:
                                              dtype=np.uint8))
             depth = int(rng.integers(0, 13))
             q = PAdicRational(2, int(rng.integers(0, 1 << depth)), depth)
-            # thresholds anywhere, and near the poles, where few digits survive
+            # thresholds anywhere, and within 2^-56 of 0 and of 1
             t_int = int(rng.choice([int(rng.integers(0, 1 << 62)) << 2,
                                     int(rng.integers(0, 1 << 8)),
                                     (1 << 64) - int(rng.integers(0, 1 << 8))]))
