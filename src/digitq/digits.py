@@ -65,13 +65,17 @@ class DigitString:
         if _validate:
             if not isinstance(base, int) or base < 2:
                 raise ValueError(f"base must be an integer >= 2, got {base!r}")
-        arr = np.asarray(digits, dtype=_dtype_for_base(base))
-        if _validate:
-            if arr.ndim != 1 or arr.size < 1:
+            # check before the narrowing cast, which would wrap 258 to 2
+            # and truncate 2.7 to 2
+            digits = np.asarray(digits)
+            if digits.ndim != 1 or digits.size < 1:
                 raise ValueError("digits must be a non-empty 1-d sequence")
-            if arr.size and int(arr.max()) >= base:
-                raise ValueError(f"digit {int(arr.max())} out of range for base {base}")
-        arr = np.ascontiguousarray(arr)
+            if digits.dtype.kind not in "biu":  # bool, signed or unsigned int
+                raise ValueError(f"digits must be integers, got dtype {digits.dtype}")
+            bad = digits[(digits < 0) | (digits >= base)]
+            if bad.size:
+                raise ValueError(f"digit {int(bad[0])} out of range for base {base}")
+        arr = np.ascontiguousarray(np.asarray(digits, dtype=_dtype_for_base(base)))
         arr.flags.writeable = False
         self._base = base
         self._digits = arr
@@ -204,17 +208,6 @@ class DeletionLog:
     @property
     def kept_count(self) -> int:
         return self.kept_positions.size
-
-    def truncated(self, kept_count: int) -> "DeletionLog":
-        """Restrict the log to the source prefix ending at the kept_count-th
-        kept position.  Used when a downstream operator can only consume a
-        block-aligned number of kept digits."""
-        if not (1 <= kept_count <= self.kept_count):
-            raise ValueError("kept_count out of range")
-        kp = self.kept_positions[:kept_count]
-        bound = int(kp[-1])
-        sel = self.deleted_positions < bound
-        return DeletionLog(bound, kp, self.deleted_positions[sel], self.deleted_digits[sel])
 
 
 class FrequencyTable:

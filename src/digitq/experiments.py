@@ -14,10 +14,11 @@ max(0.02, 4 * sqrt(p(1-p)/n)), the binomial four-sigma band floored at
 two points.
 
 A note on speed: leading-digit statistics only need a prefix of each
-state, because every deletion decision is local to its own suffix.  The
-hot loops therefore rotate and reduce prefixes through exactly the same
-pipeline code as the full constructors, which unit tests pin against the
-full-length paths.  Dyadic grid sweeps go further: the rotation at every
+state, because rotations act blockwise and every deletion decision is
+local to its own suffix.  The trace rule rotates seed prefixes through
+the constructor's own rotation stage and reads the leading digit off one
+window of stage 1 by the first-survivor lemma; unit tests pin it to the
+constructor.  Dyadic grid sweeps go further: the rotation at every
 grid point is a power of one odometer (see ``phase``), so the leading 64
 digits of every rotated seed come from a single gather, and polarization,
 interference and seed invariance read nothing but those cached windows.
@@ -39,13 +40,14 @@ import numpy as np
 
 from .digits import DigitString, champernowne, concatenated_squares, phi_shift
 from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
-                     NonConvergence, OffGrid, SuffixTooShort)
+                     NonConvergence, OffGrid)
 from .phase import (PAdicRational, _odometer, apply as apply_operator, compose,
                     extend_to, omega_root, operator_pow, rotation_operator)
-from .reduction import BinaryThreshold, weak_reduction_walk
+from .reduction import (THRESHOLD_BITS, BinaryThreshold, _window_u64,
+                        weak_reduction_walk)
 from .rng import derive_seed, make_rng
-from .states import (QutritAngles, StateConfig, _qutrit_pipeline, default_config,
-                     default_qutrit_config, qutrit_thresholds)
+from .states import (QutritAngles, StateConfig, _qutrit_pipeline, _stage1_keep,
+                     default_config, default_qutrit_config, qutrit_thresholds)
 
 __all__ = [
     "SampleGrid",
@@ -273,20 +275,31 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 
 def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                           q1: PAdicRational, q2: PAdicRational) -> int:
-    """Leading digit of the three-level state, evaluated on a growing seed
-    prefix through the same pipeline as the constructor (exact: deletion
-    decisions are local to their suffixes, blocks rotate independently)."""
-    prefix = 8192
-    L = len(cfg.seed_string)
+    """Leading digit of the three-level state, read off stage 1.
+
+    By the first-survivor lemma it is the first stage-1 digit that is zero
+    if the stage-1 zero/nonzero indicator's place-0 window is below t1, and
+    nonzero otherwise.  Stage 1 decides a nonzero digit once THRESHOLD_BITS
+    more follow it in the rotated prefix or the whole seed is read; the
+    seed prefix grows 4x until the decided part holds THRESHOLD_BITS
+    digits and one of the wanted kind."""
+    s0 = cfg.seed_string
+    prefix = 4096
     while True:
-        s = cfg.seed_string if prefix >= L else cfg.seed_string.prefix(prefix)
+        whole = prefix >= len(s0)
         try:
-            final = _qutrit_pipeline(s, q1, q2, t1, t2)
-        except (EmptyResult, SuffixTooShort, LengthNotDivisible):
-            final = None
-        if final is not None and (len(final) >= 192 or prefix >= L):
-            return final.leading_digit
-        if prefix >= L:
+            d = _qutrit_pipeline(s0 if whole else s0.prefix(prefix), q1, q2).digits
+        except (EmptyResult, LengthNotDivisible):
+            # the prefix holds no nonzero digit or no whole block: grow it
+            d = np.zeros(0, dtype=np.uint8)
+        nz = np.flatnonzero(d)
+        end = d.size if whole else nz[-THRESHOLD_BITS] if nz.size >= THRESHOLD_BITS else 0
+        stage1 = d[:end][_stage1_keep(d, nz, t2)[:end]]
+        hi = stage1 != 0
+        found = np.flatnonzero(hi == t1.at_or_below(_window_u64(hi, 1))[0])
+        if found.size and (stage1.size >= THRESHOLD_BITS or whole):
+            return int(stage1[found[0]])
+        if whole:
             raise DegenerateStatistic("three-level state collapsed to nothing")
         prefix *= 4
 
@@ -503,8 +516,9 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     """North-pole absorption frequency of the jittered walk ensemble
     versus cos^2(theta0/2); walks that never absorb count separately.
 
-    Each walk starts from its own grid longitude (drawn with the master
-    seed) and its own jitter stream.  At the default drift scale
+    Each walk starts from its own longitude on the jitter grid, or on the
+    depth-n_max grid without jitter (drawn with the master seed), and has
+    its own jitter stream.  At the default drift scale
     (alpha * dt = 4096) a first Euler step almost always lands in a pole:
     at theta0 = pi/3, pi/2 and 2pi/3 with seed 0, 1969, 2000 and 1977 of
     the 2000 walks absorb in one step and the rest in two, so the north
@@ -522,7 +536,7 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     finished = 0
     stuck = 0
     steps_total = 0
-    depth = min(max(jitter_depth, 1), cfg.n_max)
+    depth = jitter_depth or cfg.n_max
     lam_rng = make_rng(derive_seed(seed, 1 << 62))
     lam0s = lam_rng.integers(0, 1 << depth, size=ensemble_size)
     for i in range(ensemble_size):

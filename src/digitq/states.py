@@ -3,11 +3,10 @@
 A 2-level state is a single base-2 digit string built in two moves from a
 configured seed: rotate the phase by a dyadic angle, then partially
 reduce by the co-latitude.  A 3-level state runs the longer pipeline over
-a base-3 seed: split off the nonzero digits, rotate them as a base-2
-string by the dyadic angle, put the zeros back where they came from,
-rotate the whole base-3 string by the triadic angle, then apply the
-two-stage partial reduction (theta2 over the {1,2} subsequence, theta1
-over the zero/nonzero indicator).
+a base-3 seed: rotate its nonzero digits in place, read as the bits
+digit - 1, by the dyadic angle, rotate the whole base-3 string by the
+triadic angle, then apply the two-stage partial reduction (theta2 over
+the {1,2} subsequence, theta1 over the zero/nonzero indicator).
 
 Angles follow one package-wide convention: a Fraction means an exact
 multiple of pi (so grid membership is checkable syntactically), a float
@@ -24,13 +23,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .digits import (DigitString, champernowne, phi_shift, reinsert,
-                     relabel)
+from .digits import DigitString, champernowne, phi_shift, relabel
 from .errors import EmptyResult, NotAnEigenstate, OffGrid, SuffixTooShort
 from .phase import PAdicRational, phase_rotate
 from .reduction import (BinaryThreshold, K_GUARD, ReductionOutcome,
                         _deletion_mask, _rotated_prefix,
-                        biased_quantile_threshold, partial_reduce, project,
+                        biased_quantile_threshold, partial_reduce,
                         reduce_compound)
 
 __all__ = [
@@ -184,12 +182,11 @@ def qubit_state(cfg: StateConfig, point: BlochPoint) -> DigitString:
 def qutrit_state(cfg: StateConfig, ang: QutritAngles) -> DigitString:
     """Build the 3-level state over a base-3 seed.
 
-    Pipeline: project out the zeros; relabel {1,2} to {0,1}; rotate by the
-    dyadic longitude; relabel back; reinsert the zeros at their original
-    places; rotate the whole string by the triadic longitude; partially
+    Pipeline: rotate the nonzero digits, read as bits, in place by the
+    dyadic longitude and the whole string by the triadic one; partially
     reduce the {1,2} subsequence by theta2 and then the zero/nonzero
-    indicator by theta1.  Rotations consume a block-aligned prefix, so
-    the output length varies with the angles.
+    indicator by theta1.  Rotations consume a block-aligned prefix, so the
+    output length varies with the angles.
     """
     s0 = cfg.seed_string
     if s0.base != 3:
@@ -197,7 +194,7 @@ def qutrit_state(cfg: StateConfig, ang: QutritAngles) -> DigitString:
     q1 = _padic_turns(ang.lam1, 3, cfg.n_max)
     q2 = _padic_turns(ang.lam2, 2, cfg.dyadic_depth)
     t1, t2 = qutrit_thresholds(ang)
-    return _qutrit_pipeline(s0, q1, q2, t1, t2)
+    return _qutrit_reduce(_qutrit_pipeline(s0, q1, q2), t1, t2)
 
 
 def qutrit_thresholds(ang: QutritAngles) -> tuple[BinaryThreshold, BinaryThreshold]:
@@ -226,23 +223,21 @@ def qutrit_thresholds(ang: QutritAngles) -> tuple[BinaryThreshold, BinaryThresho
     return t1, t2
 
 
-def _qutrit_pipeline(s0: DigitString, q1: PAdicRational, q2: PAdicRational,
-                     t1: BinaryThreshold, t2: BinaryThreshold) -> DigitString:
-    """The 3-level construction on an explicit seed string.
-
-    Shared by the constructor and the prefix-evaluating harness: because
-    rotations act blockwise and every deletion decision is local to its
-    own suffix, running this on a seed prefix yields a prefix of the full
-    result (up to the trailing comparison window).
-    """
-    sub, log = project(s0, 0)
-    sub01 = relabel(sub, {1: 0, 2: 1}, 2)
-    # each rotation keeps the whole-block prefix of its input
-    sub01 = _rotated_prefix(sub01, q2, len(sub01))
-    sub12 = relabel(sub01, {0: 1, 1: 2}, 3)
-    full = reinsert(sub12, log.truncated(len(sub12)), 0)
-    full = _rotated_prefix(full, q1, len(full))
-    return _qutrit_reduce(full, t1, t2)
+def _qutrit_pipeline(s0: DigitString, q1: PAdicRational,
+                     q2: PAdicRational) -> DigitString:
+    """The two rotations of the 3-level construction on an explicit seed:
+    the nonzero digits, as the bits digit - 1, rotate by q2 and go back as
+    bits + 1 to their places, then the string up to the last of them
+    rotates by q1.  Blocks rotate independently, so a seed prefix yields a
+    prefix of the result on the whole seed."""
+    d = s0.digits
+    nz = np.flatnonzero(d)
+    if nz.size == 0:
+        raise EmptyResult("no nonzero digit to rotate")
+    bits = _rotated_prefix(DigitString(2, d[nz] - 1, _validate=False), q2, nz.size).digits
+    out = d[:nz[bits.size - 1] + 1].copy()
+    out[nz[:bits.size]] = bits + 1
+    return _rotated_prefix(DigitString(3, out, _validate=False), q1, out.size)
 
 
 def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
@@ -261,12 +256,7 @@ def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
     if nz_idx.size < K_GUARD:
         raise SuffixTooShort(
             f"{nz_idx.size} nonzero digits is below the {K_GUARD}-digit guard")
-    sub = d[nz_idx]
-    del_sub = _deletion_mask(sub == 2, t2)
-
-    keep = np.ones(d.size, dtype=bool)
-    keep[nz_idx[del_sub]] = False
-    stage1 = d[keep]
+    stage1 = d[_stage1_keep(d, nz_idx, t2)]
     if stage1.size == 0:
         raise EmptyResult("stage-1 reduction removed every digit")
     if stage1.size < K_GUARD:
@@ -277,6 +267,13 @@ def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
     if final.size == 0:
         raise EmptyResult("stage-2 reduction removed every digit")
     return DigitString(3, final, _validate=False)
+
+
+def _stage1_keep(d: np.ndarray, nz: np.ndarray, t2: BinaryThreshold) -> np.ndarray:
+    """Stage-1 keep mask of the base-3 digits d with nonzero places nz."""
+    keep = np.ones(d.size, dtype=bool)
+    keep[nz[_deletion_mask(d[nz] == 2, t2)]] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------

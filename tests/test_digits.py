@@ -34,6 +34,17 @@ class TestDigitString:
         with pytest.raises(ValueError):
             DigitString(2, [])
 
+    @pytest.mark.parametrize("digits", [np.array([258]), [2.7], [-1], [1, 2 ** 70]])
+    def test_outside_digits_are_checked_before_the_cast(self, digits):
+        # a uint8 cast would read 258 as 2 and 2.7 as 2
+        with pytest.raises(ValueError):
+            DigitString(3, digits)
+        with pytest.raises(ValueError):
+            DigitString.from_json_obj({"base": 3, "digits": list(digits)})
+
+    def test_bool_digits_are_bits(self):
+        assert DigitString(2, [True, False]).digits.tolist() == [1, 0]
+
     def test_equality_is_structural(self):
         assert ds(2, [0, 1]) == ds(2, [0, 1])
         assert ds(2, [0, 1]) != ds(3, [0, 1])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
-from digitq.errors import OffGrid
+from digitq import experiments
+from digitq.errors import NonConvergence, OffGrid
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
                                 epr_experiment, index_partition,
@@ -216,21 +217,58 @@ class TestTraceRule:
                                   SampleGrid(depth=7, base=3), SampleGrid(depth=12),
                                   n_samples=0, seed=0)
 
-    def test_fast_path_matches_constructor(self):
-        qcfg = default_qutrit_config()
-        rng = make_rng(3)
-        for _ in range(25):
-            th1 = float(rng.uniform(0.2, 2.9))
-            th2 = float(rng.uniform(0.2, 2.9))
-            e1 = int(rng.integers(0, 3 ** 5))
-            e2 = int(rng.integers(0, 1 << 9))
-            ang = QutritAngles(th1, th2, PAdicRational(3, e1, 5),
-                               PAdicRational(2, e2, 9))
+    @staticmethod
+    def _assert_fast_path_matches(qcfg, angle_pairs, depth1, depth2, rng):
+        for th1, th2 in angle_pairs:
+            q1 = PAdicRational(3, int(rng.integers(0, 3 ** depth1)), depth1)
+            q2 = PAdicRational(2, int(rng.integers(0, 1 << depth2)), depth2)
+            ang = QutritAngles(th1, th2, q1, q2)
             t1, t2 = qutrit_thresholds(ang)
-            fast = _qutrit_leading_digit(qcfg, t1, t2,
-                                         PAdicRational(3, e1, 5),
-                                         PAdicRational(2, e2, 9))
-            assert fast == qutrit_state(qcfg, ang).leading_digit
+            fast = _qutrit_leading_digit(qcfg, t1, t2, q1, q2)
+            assert fast == qutrit_state(qcfg, ang).leading_digit, (th1, th2, q1, q2)
+
+    def test_fast_path_matches_constructor(self):
+        # random angles, then the suite's anchor pairs: theta1 = pi has
+        # t1 = 0, theta2 = pi/2 has t2 = 1/2, and theta* = 2 acos(1/sqrt 3);
+        # at depths 5/9 and at the experiment's own 7/12
+        rng = make_rng(3)
+        theta_star = 2 * math.acos(1 / math.sqrt(3))
+        pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
+                 for _ in range(25)]
+        pairs += 6 * [(theta_star, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3)),
+                      (Fraction(1), Fraction(1, 4))]
+        for depth1, depth2 in ((5, 9), (7, 12)):
+            self._assert_fast_path_matches(default_qutrit_config(), pairs,
+                                           depth1, depth2, rng)
+
+    def test_fast_path_grows_past_a_zero_run(self):
+        # no nonzero digit in the first 12 triadic blocks, so the harness
+        # must grow its seed prefix before it can read any digit
+        zeros = 12 * 3 ** 6
+        digits = np.concatenate([np.zeros(zeros, dtype=np.uint8),
+                                 champernowne(3, 3 ** 10 - zeros).digits])
+        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
+        rng = make_rng(4)
+        pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
+                 for _ in range(20)]
+        self._assert_fast_path_matches(qcfg, pairs, 7, 12, rng)
+
+    @pytest.mark.parametrize("theta2", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_fast_path_waits_for_undecided_stage1_digits(self, theta2):
+        # the first 4096 seed digits hold 50 nonzero digits, the first 50
+        # bits of t2, so no stage-1 decision among them is made before the
+        # continuation of 2s is read; zero padding would decide otherwise
+        ang = QutritAngles(Fraction(1), theta2, Fraction(0), Fraction(0))
+        t1, t2 = qutrit_thresholds(ang)
+        bits = np.array([t2.digit(j) for j in range(1, 51)], dtype=np.uint8)
+        digits = np.zeros(3 * 4096, dtype=np.uint8)
+        digits[:40] = bits[:40] + 1
+        digits[4000:4010] = bits[40:] + 1
+        digits[4096:] = 2
+        qcfg = StateConfig(DigitString(3, digits), n_max=1, inner_dyadic_depth=0)
+        fast = _qutrit_leading_digit(qcfg, t1, t2, PAdicRational(3, 0, 0),
+                                     PAdicRational(2, 0, 0))
+        assert fast == qutrit_state(qcfg, ang).leading_digit
 
 
 class TestInterference:
@@ -352,6 +390,22 @@ class TestWeakReduction:
     def test_needs_a_walk(self):
         with pytest.raises(ValueError):
             weak_reduction_experiment(Fraction(1, 3), ensemble_size=0)
+
+    def test_jitter_free_walks_start_on_the_config_grid(self, monkeypatch):
+        # without jitter the start longitude is a walk's only randomness;
+        # the walks themselves are not run, since a jitter-free walk can
+        # take thousands of steps
+        starts = []
+
+        def record(theta0, lam0, *args):
+            starts.append(lam0)
+            raise NonConvergence("not run")
+
+        monkeypatch.setattr(experiments, "weak_reduction_walk", record)
+        weak_reduction_experiment(Fraction(1, 3), ensemble_size=64, jitter_depth=0)
+        assert len(starts) == 64
+        assert max(q.depth for q in starts) == default_config().n_max
+        assert len({q.numerator for q in starts}) > 32
 
 
 class TestSeedInvariance:
