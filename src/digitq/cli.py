@@ -210,52 +210,35 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if cmd == "state":
+        return _print_state(args)
+    if cmd == "suite":
+        return _run_suite(args)
     if cmd == "polarization":
         cfg = _config_for(args)
         rep = polarization_experiment(args.theta, SampleGrid(depth=args.depth), cfg)
-        _write_reports([rep], args.out, args.format)
-        return _exit_code([rep])
-
-    if cmd == "trace-rule":
+    elif cmd == "trace-rule":
         rep = trace_rule_experiment(args.theta1, args.theta2,
                                     SampleGrid(depth=args.depth3, base=3),
                                     SampleGrid(depth=args.depth),
                                     n_samples=args.samples, seed=args.seed)
-        _write_reports([rep], args.out, args.format)
-        return _exit_code([rep])
-
-    if cmd == "epr":
+    elif cmd == "epr":
         rep = epr_experiment(args.dtheta, N=args.pairs, seed=args.seed)
-        _write_reports([rep], args.out, args.format)
-        return _exit_code([rep])
-
-    if cmd == "interference":
+    elif cmd == "interference":
         cfg = _config_for(args)
         rep = interference_experiment(SampleGrid(depth=args.depth), cfg)
-        _write_reports([rep], args.out, args.format)
-        return _exit_code([rep])
-
-    if cmd == "weak-reduction":
+    elif cmd == "weak-reduction":
         rep = weak_reduction_experiment(args.theta0, ensemble_size=args.walks,
                                         jitter_depth=args.jitter_depth,
                                         alpha=args.alpha, dt=args.dt,
                                         seed=args.seed)
-        _write_reports([rep], args.out, args.format)
-        return _exit_code([rep])
-
-    if cmd == "seed-invariance":
+    elif cmd == "seed-invariance":
         rep = seed_invariance_suite(seed=args.seed,
                                     negative_control=args.negative_control)
-        _write_reports([rep], args.out, args.format)
-        return _exit_code([rep])
-
-    if cmd == "state":
-        return _print_state(args)
-
-    if cmd == "suite":
-        return _run_suite(args)
-
-    raise ValueError(f"unknown command {cmd!r}")
+    else:
+        raise ValueError(f"unknown command {cmd!r}")
+    _write_reports([rep], args.out, args.format)
+    return _exit_code([rep])
 
 
 def _print_state(args) -> int:

@@ -49,11 +49,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _dtype_for_base(base: int) -> np.dtype:
-    if base <= 256:
-        return np.dtype(np.uint8)
-    if base <= 65536:
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
+    """Narrowest unsigned type holding the digits 0..base-1.  Bases above
+    2^63 are refused, so that ``_add_mod``'s 2*base - 2 fits in uint64."""
+    if base > 1 << 63:
+        raise ValueError(f"base {base} exceeds 2^63")
+    return np.min_scalar_type(base - 1)
+
+
+def _add_mod(digits: np.ndarray, shift, base: int) -> np.ndarray:
+    """(digits + shift) mod base, for digits and shifts in 0..base-1, in the
+    dtype of ``digits``.  The sum x is formed in the narrowest unsigned type
+    holding 2*base - 2, where x - base wraps above x exactly when x < base."""
+    wide = np.min_scalar_type(2 * base - 2)
+    x = digits.astype(wide, copy=False) + np.asarray(shift).astype(wide)
+    return np.minimum(x, x - base).astype(digits.dtype, copy=False)
 
 
 class DigitString:
@@ -293,8 +302,7 @@ def concatenated_squares(base: int, length: int) -> DigitString:
 
 def phi_shift(s: DigitString, k: int) -> DigitString:
     """Apply the cyclic digit increment d -> (d + k) mod M to every place."""
-    out = (s.digits.astype(np.int64) + k) % s.base
-    return DigitString(s.base, out.astype(s.digits.dtype), _validate=False)
+    return DigitString(s.base, _add_mod(s.digits, k % s.base, s.base), _validate=False)
 
 
 def _digits_to_int(arr: np.ndarray, base: int) -> int:

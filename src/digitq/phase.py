@@ -44,7 +44,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .digits import DigitString, value_float
+from .digits import DigitString, _add_mod, value_float
 from .errors import DegenerateStatistic, LengthNotDivisible
 
 __all__ = [
@@ -202,7 +202,6 @@ def identity_operator(base: int, size: int = 1) -> BlockOperator:
                          _validate=False)
 
 
-@lru_cache(maxsize=None)
 def chi(n: int) -> BlockOperator:
     """Base-2 self-similar operator on 2^n-blocks.
 
@@ -213,7 +212,7 @@ def chi(n: int) -> BlockOperator:
     return omega_root(2, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def omega_root(p: int, n: int) -> BlockOperator:
     """Depth-n root operator for base p on p^n-blocks.
 
@@ -244,7 +243,7 @@ def compose(first: BlockOperator, second: BlockOperator) -> BlockOperator:
         a = extend_to(a, target)
         b = extend_to(b, target)
     perm = a.perm[b.perm]
-    shift = (a.shift[b.perm] + b.shift) % a.base
+    shift = _add_mod(a.shift[b.perm], b.shift, a.base)
     return BlockOperator(a.base, perm, shift, _validate=False)
 
 
@@ -291,11 +290,11 @@ def apply(op: BlockOperator, s: DigitString) -> DigitString:
         raise LengthNotDivisible(
             f"length {len(s)} is not a multiple of block size {op.size}")
     rows = s.digits.reshape(-1, op.size)
-    out = (rows[:, op.perm].astype(np.int64) + op.shift[None, :]) % op.base
-    return DigitString(s.base, out.ravel().astype(s.digits.dtype), _validate=False)
+    out = _add_mod(rows[:, op.perm], op.shift, op.base)
+    return DigitString(s.base, out.ravel(), _validate=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _digit_reversal(p: int, n: int) -> np.ndarray:
     """rev[j]: the n base-p digits of the place index j in reverse order."""
     j = np.arange(p ** n, dtype=np.int64)

@@ -14,10 +14,11 @@ digits survive; at t = 0 only hi digits survive.
 Comparisons are exact for the finite string: ``BinaryThreshold.at_or_below``
 compares the suffix's 64-digit window, zero-padded, against the threshold,
 and since the threshold has no digits beyond the window the comparison is
-always decided within it.  The windows come from the string packed eight
-digits to a byte: one big-endian 8-byte word per byte offset, and the
-seven positions inside each byte by shifting that word and pulling in
-the top bits of the next byte, all in uint64 arithmetic.
+always decided within it.  The windows come from the string packed into
+big-endian 64-bit words: the 64 positions inside a word shift it and pull
+in the top bits of the next word, all in uint64 arithmetic.  Given a
+matrix, the kernel reads each row as its own string, so the grid sweeps'
+leading window of every rotated seed is its one-window row case.
 
 A useful consequence, used throughout the experiments: the first
 surviving digit is lo exactly when the whole-string value is below t
@@ -221,33 +222,28 @@ class ReductionOutcome:
 # suffix comparison kernel
 
 def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
-    """64-bit suffix windows w_j = .b_j ... b_(j+63) * 2^64 for j < length.
+    """64-bit suffix windows w_j = .b_j ... b_(j+63) * 2^64, j < length, of
+    each row of ``bits`` (0/1 digits, bool or integer; digits past a row's
+    end read as zeros), as uint64 of shape bits.shape[:-1] + (length,).
 
-    ``bits`` holds 0/1 digits (bool or integer); digits past its end read
-    as zeros.  The digits are packed eight to a byte; the window at j = 8i
-    is the big-endian word of bytes i..i+7, and the window at 8i + r
-    shifts that word left by r and takes its last r digits from the top
-    of byte i+8.  Returns uint64.
+    Rows are packed eight digits to a byte and read as big-endian 64-bit
+    words; the window at j = 64i + c is word i shifted left by c, with its
+    last c digits taken from the top of word i+1, for all c at once.
     """
-    nb = -(-length // 8)
-    pk = np.zeros(nb + 8, dtype=np.uint8)
-    packed = np.packbits(bits[:8 * (nb + 8)])
-    pk[:packed.size] = packed
-    u = np.lib.stride_tricks.sliding_window_view(pk, 8)[:nb].copy().view(">u8")
-    u = u.ravel().astype(np.uint64)
-    nxt = pk[8:8 + nb].astype(np.uint64)
-    out = np.empty(8 * nb, dtype=np.uint64)
-    out[0::8] = u
-    for r in range(1, 8):
-        out[r::8] = (u << np.uint64(r)) | (nxt >> np.uint64(8 - r))
-    return out[:length]
+    nw = -(-length // 64)
+    pk = np.zeros(bits.shape[:-1] + (8 * nw + 8,), dtype=np.uint8)
+    packed = np.packbits(bits[..., :64 * nw + 64], axis=-1)
+    pk[..., :packed.shape[-1]] = packed
+    words = pk.view(">u8").astype(np.uint64)[..., None]
+    c = np.arange(min(length, 64), dtype=np.uint64)
+    # the top c digits of word i+1, shifted in two steps so c = 0 needs no 64-bit shift
+    out = words[..., :-1, :] << c
+    out |= words[..., 1:, :] >> np.uint64(1) >> (np.uint64(63) - c)
+    return out.reshape(bits.shape[:-1] + (-1,))[..., :length]
 
 
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     """Boolean mask: suffix at position j (zero padded) >= threshold."""
-    if thr.t_int == 0 or thr.is_one:
-        # t = 0 is at or below every suffix, t = 1 above every one
-        return np.full(bits01.size, thr.t_int == 0)
     return thr.at_or_below(_window_u64(bits01, bits01.size))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitq import digits as digits_module
-from digitq.digits import (DigitString, block_frequencies, champernowne,
+from digitq.digits import (DigitString, _add_mod, block_frequencies, champernowne,
                            concatenated_squares, degree_of_normality,
                            delete_where, normality_deviation, phi_shift,
                            reinsert, relabel, value, value_float)
@@ -44,6 +44,24 @@ class TestDigitString:
 
     def test_bool_digits_are_bits(self):
         assert DigitString(2, [True, False]).digits.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("base, digits", [(2 ** 40, [2 ** 33, 5]),
+                                              (2 ** 32 + 1, [2 ** 32]),
+                                              (2 ** 63, [2 ** 63 - 1, 0])])
+    def test_bases_above_2_to_32_keep_their_digits(self, base, digits):
+        s = DigitString(base, digits)
+        assert s.digits.dtype == np.uint64
+        assert s.digits.tolist() == digits
+        assert s.value() == Fraction(sum(d * base ** (len(digits) - 1 - i)
+                                          for i, d in enumerate(digits)),
+                                     base ** len(digits))
+
+    def test_bases_above_2_to_63_are_refused(self):
+        # the modular digit add forms d + s < 2 * base in uint64
+        with pytest.raises(ValueError):
+            DigitString(2 ** 63 + 1, [1])
+        with pytest.raises(ValueError):
+            DigitString.constant(2 ** 64, 0, 3)
 
     def test_equality_is_structural(self):
         assert ds(2, [0, 1]) == ds(2, [0, 1])
@@ -151,6 +169,12 @@ class TestPhiShift:
     def test_base3_increment(self):
         assert phi_shift(ds(3, [0, 1, 2]), 1).digits.tolist() == [1, 2, 0]
 
+    @pytest.mark.parametrize("k", [-1, -7, 5, 12, 1000, -1001])
+    def test_shift_is_taken_mod_the_base(self, k):
+        s = champernowne(5, 200)
+        expected = [(d + k) % 5 for d in s.digits.tolist()]
+        assert phi_shift(s, k).digits.tolist() == expected
+
     @given(small_strings, st.integers(0, 10))
     def test_full_cycle_is_identity(self, s, reps):
         assert phi_shift(s, s.base * reps) == s
@@ -161,6 +185,31 @@ class TestPhiShift:
             s = DigitString(2, (s.digits % 2))
         total = value(s) + value(phi_shift(s, 1))
         assert total == 1 - Fraction(1, 2 ** len(s))
+
+
+class TestAddMod:
+    @pytest.mark.parametrize("base", [2, 3, 5, 128, 129, 255, 256, 257, 65535, 65536,
+                                      65537])
+    def test_matches_int64_modulo(self, base):
+        rng = np.random.default_rng(base)
+        edge = np.array([0, base - 1])
+        # every pairing of the digits 0 and base - 1, then random pairs
+        a = np.concatenate([np.repeat(edge, 2), rng.integers(0, base, 2000)])
+        b = np.concatenate([np.tile(edge, 2), rng.integers(0, base, 2000)])
+        digits = DigitString(base, a).digits
+        out = _add_mod(digits, b, base)
+        assert out.dtype == digits.dtype
+        assert np.array_equal(out, (a.astype(np.int64) + b) % base)
+        for k in (0, 1, base - 1):
+            assert np.array_equal(_add_mod(digits, k, base),
+                                  (a.astype(np.int64) + k) % base)
+
+    @pytest.mark.parametrize("base", [2 ** 32 + 1, 2 ** 63])
+    def test_uint64_bases(self, base):
+        a = [0, 0, base - 1, base - 1, 12345]
+        b = [0, base - 1, 0, base - 1, base - 2]
+        out = _add_mod(DigitString(base, a).digits, np.array(b, dtype=np.uint64), base)
+        assert out.tolist() == [(x + y) % base for x, y in zip(a, b)]
 
 
 class TestValue:

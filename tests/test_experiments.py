@@ -8,7 +8,7 @@ import pytest
 
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
 from digitq import experiments
-from digitq.errors import NonConvergence, OffGrid
+from digitq.errors import LengthNotDivisible, NonConvergence, OffGrid
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
                                 epr_experiment, index_partition,
@@ -340,9 +340,18 @@ class TestInterference:
                        for note in rep.notes)
 
 
+# the seed strings the grid lemmas are checked on, built on demand
+LEMMA_SEEDS = {
+    "champernowne": lambda: champernowne(2, 1 << 18),
+    "concatenated_squares": lambda: concatenated_squares(2, 1 << 18),
+    "constant_0": lambda: DigitString.constant(2, 0, 1 << 18),
+    "random": lambda: DigitString(
+        2, make_rng(5).integers(0, 2, 1 << 18, dtype=np.uint8), _validate=False),
+}
+
+
 class TestTopBitLemma:
-    @pytest.mark.parametrize("seed_name", ["champernowne", "concatenated_squares",
-                                           "constant_0", "random"])
+    @pytest.mark.parametrize("seed_name", list(LEMMA_SEEDS))
     def test_half_the_grid_leads_with_one(self, seed_name):
         """Over the exhaustive depth-K grid exactly 2^(K-1) of the rotated
         seeds lead with 1, whatever the seed string.
@@ -355,18 +364,36 @@ class TestTopBitLemma:
         same source place with opposite shifts: of each such pair exactly
         one leading digit is 1.  The pairs partition 0..2^K - 1.
         """
-        n = 1 << 18
-        seed_string = {
-            "champernowne": lambda: champernowne(2, n),
-            "concatenated_squares": lambda: concatenated_squares(2, n),
-            "constant_0": lambda: DigitString.constant(2, 0, n),
-            "random": lambda: DigitString(
-                2, make_rng(5).integers(0, 2, n, dtype=np.uint8), _validate=False),
-        }[seed_name]()
+        seed_string = LEMMA_SEEDS[seed_name]()
         for depth in range(1, 13):
             windows = _grid_leading_windows(seed_string, depth)
             assert windows.size == 1 << depth
             assert int(np.count_nonzero(windows >> np.uint64(63))) == 1 << (depth - 1)
+
+
+class TestTwoBitLemma:
+    @pytest.mark.parametrize("seed_name", list(LEMMA_SEEDS))
+    def test_each_leading_pair_is_a_quarter_of_the_grid(self, seed_name):
+        """Over the exhaustive depth-K grid, K >= 2, each of the leading
+        two-bit patterns 00, 01, 10 and 11 occurs exactly 2^(K-2) times,
+        whatever the seed string.
+
+        Proof: write B = 2^(K-1) for the block size; places 0 and 1 lie in
+        the first block.  Exponents e and e + B flip both leading bits: this
+        is the pairing of TestTopBitLemma, and it holds at place 1 as at
+        place 0 (same source place, opposite shift).  Exponents e and
+        e + B/2 read the same source pair {a, a XOR 1} at places 0 and 1,
+        swapped: the sources are rev(x) for x = -e and B/2 - e mod B, which
+        differ by B/2, so their reversals differ only in the low bit.  And
+        exactly one of the two shifts changes parity, so b0 XOR b1 flips.
+        Hence e, e + B/2, e + B and e + 3B/2 (e < B/2) give each pattern
+        once, and these quadruples partition 0..2^K - 1.
+        """
+        seed_string = LEMMA_SEEDS[seed_name]()
+        for depth in range(2, 13):
+            windows = _grid_leading_windows(seed_string, depth)
+            pairs = np.bincount((windows >> np.uint64(62)).astype(np.int64), minlength=4)
+            assert pairs.tolist() == [1 << (depth - 2)] * 4
 
 
 class TestWeakReduction:
@@ -462,6 +489,21 @@ class TestReports:
     def test_algebra_checks_report(self):
         rep = operator_algebra_checks(n_strings=20, length=256)
         assert rep.passed
+
+    def test_algebra_checks_count_mismatched_strings(self, monkeypatch):
+        # with phi_shift the identity, i^2 (the complement) differs from it
+        # on every string, and each string counts once
+        monkeypatch.setattr(experiments, "phi_shift", lambda s, k: s)
+        rep = operator_algebra_checks(n_strings=20, length=512)
+        observed = {stat.name: stat.observed for stat in rep.statistics}
+        assert observed == {"square-law mismatches (n<=8)": 0,
+                            "i^2 = complement mismatches": 20,
+                            "i^4 = identity mismatches": 0}
+
+    def test_algebra_checks_refuse_a_length_off_the_block(self):
+        # 2 x 128 digits fill one 256-digit block, but no string does
+        with pytest.raises(LengthNotDivisible):
+            operator_algebra_checks(n_strings=2, length=128)
 
 
 class TestRngSplitting:

@@ -87,6 +87,23 @@ class TestWindowKernel:
         assert w.dtype == np.uint64 and w.shape == (3,)
         assert w.tolist() == [5 << 61, 1 << 62, 1 << 63]
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_row_form_reads_each_row_as_its_own_string(self, dtype):
+        n = 150
+        rows = np.random.default_rng(7).integers(0, 2, (6, n)).astype(dtype)
+        for length in (1, 7, 8, 9, 63, 64, 65, n):
+            w = _window_u64(rows, length)
+            assert w.dtype == np.uint64 and w.shape == (6, length)
+            for row, bits in zip(w, rows):
+                assert np.array_equal(row, _window_u64(bits, length))
+                assert np.array_equal(row, float_window_u64(zero_padded(bits), length))
+
+    def test_empty_input_reads_a_zero_window(self):
+        # the trace-rule harness reads place 0 of a stage-1 string that may be empty
+        for dtype in (bool, np.uint8):
+            w = _window_u64(np.zeros(0, dtype=dtype), 1)
+            assert w.dtype == np.uint64 and w.tolist() == [0]
+
 
 class TestBinaryThreshold:
     def test_half_is_exact(self):
