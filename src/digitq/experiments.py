@@ -15,14 +15,15 @@ two points.
 
 A note on speed: leading-digit statistics only need a prefix of each
 state, because rotations act blockwise and every deletion decision is
-local to its own suffix.  The trace rule rotates seed prefixes through
-the constructor's own rotation stage and reads the leading digit off one
+local to its own suffix.  Every rotation on these paths is read from the
+odometer (``phase._rotated_rows``) at the places it needs; no dense
+operator is built.  The trace rule rotates seed prefixes through the
+constructor's own rotation stage and reads the leading digit off one
 window of stage 1 by the first-survivor lemma; unit tests pin it to the
-constructor.  Dyadic grid sweeps go further: the rotation at every
-grid point is a power of one odometer (see ``phase``), so the leading 64
-digits of every rotated seed come from a single gather, and polarization,
-interference and seed invariance read nothing but those cached windows.
-The EPR correlation is an exact digit sum.
+constructor.  Dyadic grid sweeps take a column of numerators, so the
+leading 64 digits of every rotated seed come from a single gather, and
+polarization, interference and seed invariance read nothing but those
+cached windows.  The EPR correlation is an exact digit sum.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .digits import DigitString, _add_mod, champernowne, concatenated_squares, phi_shift
+from .digits import DigitString, champernowne, concatenated_squares, phi_shift
 from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
                      NonConvergence, OffGrid)
-from .phase import (PAdicRational, _odometer, apply as apply_operator, compose,
+from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, compose,
                     extend_to, omega_root, operator_pow, rotation_operator)
 from .reduction import (THRESHOLD_BITS, BinaryThreshold, _window_u64,
                         weak_reduction_walk)
@@ -197,16 +198,12 @@ def _grid_leading_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     """uint64 leading 64-digit windows of the rotated seed for every
     numerator on the exhaustive base-2 grid of the given depth.
 
-    The rotation by e/2^K of a turn is omega_root(2, K-1)**e acting on
-    2^(K-1)-blocks, so one (2^K x 64) odometer gather from the seed gives
-    every window at once.  Place j of the prefix lies in the block that
-    starts at j - j mod block, which covers blocks shorter than 64 digits.
+    The numerators form a column, so one (2^depth x 64) ``_rotated_rows``
+    gather from the seed gives every window at once, also when the blocks
+    are shorter than 64 digits.
     """
-    n = max(depth - 1, 0)
-    places = np.arange(64)
-    inner = places % (1 << n)
-    src, shift = _odometer(2, n, np.arange(1 << depth)[:, None], inner)
-    bits = _add_mod(seed_string.digits[places - inner + src], shift, 2)
+    bits = _rotated_rows(seed_string.digits, 2, depth, np.arange(1 << depth)[:, None],
+                         np.arange(64))
     return _window_u64(bits, 1)[:, 0]
 
 

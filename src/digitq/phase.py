@@ -30,9 +30,10 @@ place adds 1 to the digit.  So omega_root(p, n)**m, for any m >= 0, has
     perm[j]  = rev((rev(j) - m) mod p^n)
     shift[j] = (-floor((rev(j) - m) / p^n)) mod p
 
-and order p^(n+1).  Rotations are built from this formula in one pass;
-``compose`` and ``operator_pow`` remain as the algebra the formula is
-tested against.
+and order p^(n+1).  Rotations build no operator: ``_rotated_rows`` reads
+each rotated digit straight from this formula at the places a caller
+needs.  The dense operators serve only the operator algebra and are the
+references the formula is tested against.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ class PAdicRational:
         while dep > 0 and num % self.base == 0:
             num //= self.base
             dep -= 1
-        if num == 0:
-            dep = 0
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "depth", dep)
 
@@ -340,6 +339,31 @@ def rotation_operator(q: PAdicRational) -> BlockOperator:
     return _rotation_operator_cached(p, m % p ** n, n)
 
 
+def _rotated_rows(digits: np.ndarray, p: int, depth: int, numerators,
+                  places: np.ndarray) -> np.ndarray:
+    """Digits at ``places`` of the base-p rows rotated by m/p^depth of a
+    turn, in one odometer gather: place j reads the p^(depth-1)-block that
+    starts at j - j mod block, and depth 0 (one place, m mod 1 = 0) is the
+    identity.  A column of ``numerators`` gives one row per numerator."""
+    n = max(depth - 1, 0)
+    inner = places % p ** n
+    src, shift = _odometer(p, n, numerators % p ** depth, inner)
+    return _add_mod(np.take(digits, places - inner + src, axis=-1), shift, p)
+
+
+def _rotated_prefix(digits: np.ndarray, q: PAdicRational, n_digits: int) -> np.ndarray:
+    """A prefix of at least n_digits of ``digits`` rotated by q, or their
+    whole-block part rotated when shorter.  Blocks transform independently,
+    so the first ceil(n/B)*B digits, the rows of one gather, give an exact
+    prefix of the full rotation without touching the rest of the string."""
+    block = q.base ** max(q.depth - 1, 0)
+    n = min(digits.size - digits.size % block, -(-n_digits // block) * block)
+    if n == 0:
+        raise LengthNotDivisible(f"string length {digits.size} is below one block of {block}")
+    rows = digits[:n].reshape(-1, block)
+    return _rotated_rows(rows, q.base, q.depth, q.numerator, np.arange(block)).ravel()
+
+
 def phase_rotate(s: DigitString, q: PAdicRational) -> DigitString:
     """Rotate the string's phase by the angle 2*pi*q (q p-adic, base of s).
 
@@ -351,9 +375,10 @@ def phase_rotate(s: DigitString, q: PAdicRational) -> DigitString:
     """
     if q.base != s.base:
         raise ValueError(f"rotation base {q.base} does not match string base {s.base}")
-    if q.depth == 0:
-        return s
-    return apply(rotation_operator(q), s)
+    block = q.base ** max(q.depth - 1, 0)
+    if len(s) % block:
+        raise LengthNotDivisible(f"length {len(s)} is not a multiple of block size {block}")
+    return DigitString(s.base, _rotated_prefix(s.digits, q, len(s)), _validate=False)
 
 
 def _pearson_lag1(values: np.ndarray) -> float:

@@ -47,9 +47,8 @@ import numpy as np
 
 from .digits import (DeletionLog, DigitString, _compress, degree_of_normality,
                      value_float)
-from .errors import (EmptyResult, LengthNotDivisible, NonConvergence,
-                     SuffixTooShort, Tie)
-from .phase import PAdicRational, apply as apply_operator, rotation_operator
+from .errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
+from .phase import PAdicRational, _rotated_prefix
 from .rng import make_rng
 
 __all__ = [
@@ -314,26 +313,7 @@ def reduce_compound(s: DigitString) -> ReductionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# fast prefix evaluation (shared by the walk and the 3-level pipeline)
-
-
-def _rotated_prefix(r0: DigitString, q: PAdicRational, n_digits: int) -> DigitString:
-    """Prefix of phase_rotate(r0, q) of at least n_digits digits, or the
-    whole-block part of r0 rotated when it is shorter.
-
-    Blocks transform independently, so rotating the first ceil(n/B)*B
-    digits gives an exact prefix of the full rotation, without touching
-    the rest of the string.  An integral q (depth 0) is the identity.
-    """
-    if q.depth == 0:
-        return r0 if n_digits >= len(r0) else r0.prefix(n_digits)
-    op = rotation_operator(q)
-    n = min(len(r0) - len(r0) % op.size,
-            ((n_digits + op.size - 1) // op.size) * op.size)
-    if n == 0:
-        raise LengthNotDivisible(
-            f"string length {len(r0)} is below one block of {op.size}")
-    return apply_operator(op, r0.prefix(n))
+# fast prefix evaluation (the walk reads its survivors here)
 
 
 def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
@@ -349,9 +329,8 @@ def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
     """
     n = 4096
     while True:
-        s = _rotated_prefix(r0, q, n + THRESHOLD_BITS)
-        d = s.digits
-        whole = len(s) < n + THRESHOLD_BITS
+        d = _rotated_prefix(r0.digits, q, n + THRESHOLD_BITS)
+        whole = d.size < n + THRESHOLD_BITS
         decided = d if whole else d[:n]
         survivors = decided[~_deletion_mask(d == 1, thr)[:decided.size]]
         if survivors.size >= want or whole:
@@ -367,15 +346,13 @@ def _reduced_value(r0: DigitString, q: PAdicRational, thr: BinaryThreshold) -> f
     first REDUCED_VALUE_DIGITS surviving digits.  Detects an exact value
     of 1/2 and raises Tie, since the drift equation is stationary there."""
     digs = _reduced_prefix(r0, q, thr, REDUCED_VALUE_DIGITS)
-    val = value_float(DigitString(2, digs, _validate=False), REDUCED_VALUE_DIGITS)
-    if val == 0.5 and digs[0] == 1:
-        # the value is exactly 1/2 only if no later survivor of the whole
-        # rotated string is a 1; otherwise it lies within 2^-96 of 1/2,
-        # as its first survivors do, and its float is 0.5 too
-        full, _ = partial_reduce(_rotated_prefix(r0, q, len(r0)), thr)
-        if not full.digits[1:].any():
-            raise Tie("reduced value is exactly 1/2")
-    return val
+    # the value is exactly 1/2 only if a leading 1 is followed by no 1 in
+    # the whole rotated string; a 1 among the first survivors rules that
+    # out, so only a run of 0s sends the check on to every survivor
+    if (digs[0] == 1 and not digs[1:].any()
+            and not _reduced_prefix(r0, q, thr, len(r0))[1:].any()):
+        raise Tie("reduced value is exactly 1/2")
+    return value_float(DigitString(2, digs, _validate=False), REDUCED_VALUE_DIGITS)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ import numpy as np
 
 from .digits import DigitString, champernowne, phi_shift, relabel
 from .errors import EmptyResult, NotAnEigenstate, OffGrid, SuffixTooShort
-from .phase import PAdicRational, phase_rotate
+from .phase import PAdicRational, _rotated_prefix, phase_rotate
 from .reduction import (BinaryThreshold, K_GUARD, ReductionOutcome,
-                        _deletion_mask, _rotated_prefix,
-                        biased_quantile_threshold, partial_reduce,
-                        reduce_compound)
+                        _deletion_mask, biased_quantile_threshold,
+                        partial_reduce, reduce_compound)
 
 __all__ = [
     "BlochPoint",
@@ -234,10 +233,10 @@ def _qutrit_pipeline(s0: DigitString, q1: PAdicRational,
     nz = np.flatnonzero(d)
     if nz.size == 0:
         raise EmptyResult("no nonzero digit to rotate")
-    bits = _rotated_prefix(DigitString(2, d[nz] - 1, _validate=False), q2, nz.size).digits
+    bits = _rotated_prefix(d[nz] - 1, q2, nz.size)
     out = d[:nz[bits.size - 1] + 1].copy()
     out[nz[:bits.size]] = bits + 1
-    return _rotated_prefix(DigitString(3, out, _validate=False), q1, out.size)
+    return DigitString(3, _rotated_prefix(out, q1, out.size), _validate=False)
 
 
 def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,

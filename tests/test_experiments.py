@@ -17,7 +17,7 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
                                 _grid_leading_windows, _qutrit_leading_digit)
-from digitq.phase import PAdicRational, phase_rotate
+from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
 from digitq.reduction import reduce_compound
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
@@ -394,6 +394,18 @@ class TestTwoBitLemma:
             windows = _grid_leading_windows(seed_string, depth)
             pairs = np.bincount((windows >> np.uint64(62)).astype(np.int64), minlength=4)
             assert pairs.tolist() == [1 << (depth - 2)] * 4
+
+
+class TestHotPathsBuildNoOperator:
+    def test_trace_rule_and_walk_leave_the_rotation_cache_alone(self):
+        # both read their rotations from the odometer; a dense operator
+        # would show as a lookup in the rotation cache
+        before = _rotation_operator_cached.cache_info()
+        trace_rule_experiment(Fraction(1, 2), Fraction(1, 3), SampleGrid(depth=7, base=3),
+                              SampleGrid(depth=12), n_samples=64, seed=3)
+        weak_reduction_experiment(Fraction(1, 3), ensemble_size=20, seed=3)
+        after = _rotation_operator_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestWeakReduction:

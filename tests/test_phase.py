@@ -13,7 +13,8 @@ from digitq.errors import DegenerateStatistic, LengthNotDivisible
 from digitq.phase import (BlockOperator, PAdicRational, apply, chi, compose,
                           extend_to, identity_operator, lag_correlation,
                           omega_root, operator_pow, phase_rotate,
-                          rotation_operator, _pearson_lag1)
+                          rotation_operator, _pearson_lag1, _rotated_prefix,
+                          _rotated_rows)
 
 
 def rand_string(base, length, seed=0):
@@ -221,6 +222,77 @@ class TestPhaseRotate:
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             phase_rotate(champernowne(2, 64), PAdicRational(3, 1, 1))
+
+
+class TestRotatedRows:
+    """The odometer gather and every rotation built on it, pinned to powers
+    of the recursive root tower rather than to the odometer formula."""
+
+    @staticmethod
+    def tower(s, p, n, m):
+        # rotation by m/p^n is omega_root(p, n-1)**m; an integral turn is the identity
+        return s if n == 0 else apply(operator_pow(omega_root(p, n - 1), m), s)
+
+    @staticmethod
+    def numerators(p, n):
+        # small ones, multiples of p, and numerators at and beyond p^n
+        size = p ** n
+        return sorted({0, 1, 2, p, p * p, 3 * p, size - 1, size, size + 1,
+                       size + p, 2 * size + 3, 7 * size + p * p})
+
+    @staticmethod
+    def string(p, n, blocks=3):
+        # a whole number of blocks, and of p^3 places when blocks are shorter
+        return rand_string(p, blocks * p ** max(n - 1, 3), seed=10 * p + n)
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(7)])
+    def test_every_place_matches_the_tower(self, p, n):
+        s = self.string(p, n)
+        places = np.arange(len(s))
+        for m in self.numerators(p, n):
+            want = self.tower(s, p, n, m)
+            assert np.array_equal(_rotated_rows(s.digits, p, n, m, places), want.digits), m
+            assert phase_rotate(s, PAdicRational(p, m, n)) == want, m
+
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (3, 0)])
+    def test_scattered_places_across_blocks(self, p, n):
+        s = self.string(p, n, blocks=5)
+        places = np.sort(np.random.default_rng(n).choice(len(s), 40, replace=False))
+        assert np.unique(places // p ** max(n - 1, 0)).size > 3
+        for m in self.numerators(p, n):
+            got = _rotated_rows(s.digits, p, n, m, places)
+            assert np.array_equal(got, self.tower(s, p, n, m).digits[places]), m
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (5, 2)])
+    def test_numerator_column_gives_one_row_each(self, p, n):
+        s = self.string(p, n)
+        places = np.arange(len(s))
+        ms = np.array(self.numerators(p, n))
+        rows = _rotated_rows(s.digits, p, n, ms[:, None], places)
+        assert rows.shape == (ms.size, len(s))
+        for m, row in zip(ms, rows):
+            assert np.array_equal(row, _rotated_rows(s.digits, p, n, int(m), places))
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3)])
+    def test_prefix_rounds_up_to_whole_blocks(self, p, n):
+        s = self.string(p, n)
+        for m in self.numerators(p, n):
+            q = PAdicRational(p, m, n)
+            block = p ** max(q.depth - 1, 0)
+            want = self.tower(s, p, n, m).digits
+            for k in (1, block, block + 1, len(s), 10 * len(s)):
+                got = _rotated_prefix(s.digits, q, k)
+                assert np.array_equal(got, want[:min(len(s), -(-k // block) * block)])
+
+    def test_prefix_below_one_block_is_refused(self):
+        with pytest.raises(LengthNotDivisible):
+            _rotated_prefix(champernowne(2, 64).digits[:31], PAdicRational(2, 1, 6), 8)
+
+    def test_rotation_off_the_block_is_refused(self):
+        with pytest.raises(LengthNotDivisible):
+            phase_rotate(champernowne(3, 30), PAdicRational(3, 1, 3))
+        with pytest.raises(LengthNotDivisible):
+            phase_rotate(champernowne(2, 96), PAdicRational(2, 3, 7))
 
 
 class TestLagCorrelation:

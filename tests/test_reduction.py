@@ -9,11 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from digitq.digits import DigitString, champernowne, value
 from digitq.errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
-from digitq.phase import PAdicRational, phase_rotate
+from digitq import reduction
+from digitq.phase import PAdicRational, apply, phase_rotate, rotation_operator
 from digitq.reduction import (BinaryThreshold, _reduced_prefix, _reduced_value,
                               _window_u64, biased_quantile_threshold,
                               partial_reduce, project, reduce_Rj,
                               reduce_compound, weak_reduction_walk)
+
+
+def _refuse_partial_reduce(*args):
+    raise AssertionError("partial_reduce called")
 
 
 def brute_partial_reduce(s, t_frac, lo=0, hi=1):
@@ -384,13 +389,28 @@ class TestEvolveODE:
             _reduced_value(r0, PAdicRational(2, 0, 0),
                            BinaryThreshold.from_angle(Fraction(1, 2)))
 
-    def test_near_tie_reads_half(self):
+    def test_near_tie_reads_half(self, monkeypatch):
         # within 2^-96 of 1/2 but not equal: a 1 after 200 zeros, or 0 then
-        # a run of 1s; nothing is deleted at theta = pi/2
+        # a run of 1s; nothing is deleted at theta = pi/2.  The walk reads
+        # survivors through _reduced_prefix alone, never partial_reduce
+        monkeypatch.setattr(reduction, "partial_reduce", _refuse_partial_reduce)
         thr = BinaryThreshold.from_angle(Fraction(1, 2))
         for digits in ([1] + [0] * 200 + [1] + [0] * 55, [0] + [1] * 255):
             assert _reduced_value(DigitString(2, digits), PAdicRational(2, 0, 0),
                                   thr) == 0.5
+
+    def test_a_one_among_the_first_survivors_rules_out_a_tie(self, monkeypatch):
+        # 1/2 + 2^-60 reads 0.5 as a float, but its 60th survivor is a 1,
+        # so the whole string is not read again
+        monkeypatch.setattr(reduction, "partial_reduce", _refuse_partial_reduce)
+        calls = []
+        read = reduction._reduced_prefix
+        monkeypatch.setattr(reduction, "_reduced_prefix",
+                            lambda *args: calls.append(args[3]) or read(*args))
+        r0 = DigitString(2, [1] + [0] * 58 + [1] + [0] * 196)
+        thr = BinaryThreshold.from_angle(Fraction(1, 2))
+        assert _reduced_value(r0, PAdicRational(2, 0, 0), thr) == 0.5
+        assert calls == [96]
 
     def test_rejects_poles(self):
         r0 = champernowne(2, 1 << 12)
@@ -411,12 +431,12 @@ class TestEvolveODE:
 
 class TestReducedPrefix:
     """``_reduced_prefix`` rotates only the prefix it reads; the oracle
-    rotates and reduces the whole string."""
+    rotates the whole string with the dense operator and reduces it."""
 
     @staticmethod
     def oracle(r0, q, thr, want):
         try:
-            full, _ = partial_reduce(phase_rotate(r0, q), thr)
+            full, _ = partial_reduce(apply(rotation_operator(q), r0), thr)
         except EmptyResult:
             return None
         return full.digits[:want]
