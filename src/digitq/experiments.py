@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, cos, log2, pi, sin, sqrt
+from math import ceil, cos, log2, sin, sqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -42,13 +42,13 @@ import numpy as np
 from .digits import DigitString, champernowne, concatenated_squares, phi_shift
 from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
                      NonConvergence, OffGrid)
-from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, compose,
-                    extend_to, omega_root, operator_pow, rotation_operator)
-from .reduction import (THRESHOLD_BITS, BinaryThreshold, _window_u64,
-                        weak_reduction_walk)
+from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, extend_to,
+                    omega_root, operator_pow, phase_rotate)
+from .reduction import (THRESHOLD_BITS, BinaryThreshold, _angle_float, _angle_repr,
+                        _window_u64, weak_reduction_walk)
 from .rng import derive_seed, make_rng
-from .states import (QutritAngles, StateConfig, _qutrit_pipeline, _stage1_keep,
-                     default_config, default_qutrit_config, qutrit_thresholds)
+from .states import (StateConfig, _qutrit_pipeline, _stage1_keep, default_config,
+                     default_qutrit_config, qutrit_thresholds)
 
 __all__ = [
     "SampleGrid",
@@ -176,18 +176,6 @@ def reports_csv(reports: list) -> str:
     for r in reports:
         w.writerows(r.csv_rows())
     return buf.getvalue()
-
-
-def _angle_float(theta) -> float:
-    if isinstance(theta, Fraction):
-        return pi * theta.numerator / theta.denominator
-    return float(theta)
-
-
-def _angle_repr(theta) -> str:
-    if isinstance(theta, Fraction):
-        return f"{theta.numerator}/{theta.denominator} pi"
-    return repr(float(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
     _check_grid(grid1, 3, cfg.n_max)
     _check_grid(grid2, 2, cfg.dyadic_depth)
     t0 = time.perf_counter()
-    t1, t2 = qutrit_thresholds(QutritAngles(theta1, theta2, Fraction(0), Fraction(0)))
+    t1, t2 = qutrit_thresholds(theta1, theta2)
     rng = make_rng(seed)
     e1s = rng.integers(0, grid1.modulus, size=n_samples)
     e2s = rng.integers(0, grid2.modulus, size=n_samples)
@@ -398,25 +386,21 @@ def make_epr_ensemble(dtheta, N: int,
     the right state is the complement of the left exactly when the binary
     digit d_j of cos^2(dtheta/2) is 1, j the subset index of i.  The
     flipped fraction is then the truncated digit sum of cos^2(dtheta/2).
-    The grid walk composes one root per step, which is why the ensemble
-    streams in linear time.
+    Each left state is one odometer read of the seed's first 2^(K-1)
+    digits, so the ensemble streams in linear time and builds no operator.
     """
     cfg = cfg or epr_config()
     thr = BinaryThreshold.from_angle(dtheta)
     K = _ensemble_depth(N, cfg)
-    root = rotation_operator(PAdicRational(2, 1, K))
     # one operator block of the seed; blocks rotate independently, so this
     # prefix of the full state is exact, and it carries every leading-digit
     # statistic of the ensemble
-    prefix = cfg.seed_string.prefix(root.size)
-    op = root
+    prefix = cfg.seed_string.prefix(1 << (K - 1))
     for i in range(1, N + 1):
-        left = apply_operator(op, prefix)
+        left = phase_rotate(prefix, PAdicRational(2, i, K))
         j = _subset_index(i)
         right = phi_shift(left, 1) if thr.digit(j) else left
         yield EntangledPair(left, right, i, j)
-        if i < N:
-            op = compose(op, root)
 
 
 def epr_correlation(pairs: Iterable[EntangledPair]) -> float:

@@ -106,8 +106,7 @@ class PAdicRational:
         return Fraction(self.numerator, self.base ** self.depth)
 
     def mod1(self) -> "PAdicRational":
-        return PAdicRational(self.base, self.numerator % self.base ** self.depth
-                             if self.depth else 0, self.depth)
+        return PAdicRational(self.base, self.numerator % self.base ** self.depth, self.depth)
 
     def __mul__(self, k: int) -> "PAdicRational":
         return PAdicRational(self.base, self.numerator * k, self.depth)
@@ -263,14 +262,12 @@ def extend_to(op: BlockOperator, size: int) -> BlockOperator:
 
 
 def operator_pow(op: BlockOperator, m: int) -> BlockOperator:
-    """m-fold composition of ``op`` by repeated squaring.
-
-    The exponent is first reduced mod the operator's order, so a rotation
-    by a huge multiple costs the same as a small one.
+    """m-fold composition of ``op`` by repeated squaring: log2(m)
+    compositions, so a huge exponent needs no reduction by the order and
+    no cycle is walked.
     """
     if m < 0:
         raise ValueError("exponent must be non-negative")
-    m %= op.order()
     result = identity_operator(op.base, op.size)
     sq = op
     while m:
@@ -320,7 +317,7 @@ def _odometer(p: int, n: int, m, places=None) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1024)
 def _rotation_operator_cached(p: int, e: int, n: int) -> BlockOperator:
-    perm, shift = _odometer(p, n - 1, e)
+    perm, shift = _odometer(p, max(n - 1, 0), e)
     return BlockOperator(p, perm, shift, _validate=False)
 
 
@@ -332,11 +329,8 @@ def rotation_operator(q: PAdicRational) -> BlockOperator:
     p^(n-1)-blocks; q integral is the identity and q = 1/p is the
     elementwise digit increment raised to m.
     """
-    p = q.base
-    n, m = q.depth, q.numerator
-    if n == 0:
-        return identity_operator(p, 1)
-    return _rotation_operator_cached(p, m % p ** n, n)
+    p, n = q.base, q.depth
+    return _rotation_operator_cached(p, q.numerator % p ** n, n)
 
 
 def _rotated_rows(digits: np.ndarray, p: int, depth: int, numerators,

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sin
+from functools import lru_cache
+from math import pi, sin
 from typing import Optional, Union
 
 import mpmath as mp
@@ -76,6 +77,40 @@ REDUCED_VALUE_DIGITS = 96    # surviving digits read for the drift's r value
 AngleLike = Union[float, Fraction, "BinaryThreshold"]
 
 
+def _angle_float(theta) -> float:
+    if isinstance(theta, Fraction):
+        return pi * theta.numerator / theta.denominator
+    return float(theta)
+
+
+def _angle_repr(theta) -> str:
+    if isinstance(theta, Fraction):
+        return f"{theta.numerator}/{theta.denominator} pi"
+    return repr(float(theta))
+
+
+def _cos2_half(theta):
+    """cos^2(theta/2) as an mpf at the caller's working precision: a
+    Fraction is an exact multiple of pi, anything else radians."""
+    if isinstance(theta, Fraction):
+        x = mp.pi * theta.numerator / theta.denominator
+    else:
+        x = mp.mpf(theta)
+    return mp.cos(x / 2) ** 2
+
+
+@lru_cache(maxsize=256, typed=True)
+def _threshold_int(theta) -> int:
+    """floor(cos^2(theta/2) * 2^64), cached per angle with a typed key:
+    Fraction(1, 2) == 0.5 with equal hashes, but one is pi/2, one 0.5 rad."""
+    with mp.workprec(THRESHOLD_BITS + 96):
+        y = _cos2_half(theta) * (1 << THRESHOLD_BITS)
+        yr = mp.nint(y)
+        # snap to the nearest integer when the value is exact to well
+        # beyond the working error, otherwise truncate
+        return int(yr) if abs(y - yr) < mp.mpf(2) ** (-64) else int(mp.floor(y))
+
+
 class BinaryThreshold:
     """64-bit base-2 fraction used for suffix comparisons.
 
@@ -99,18 +134,7 @@ class BinaryThreshold:
     def from_angle(cls, theta: AngleLike) -> "BinaryThreshold":
         if isinstance(theta, BinaryThreshold):
             return theta
-        with mp.workprec(THRESHOLD_BITS + 96):
-            if isinstance(theta, Fraction):
-                x = mp.pi * theta.numerator / theta.denominator
-            else:
-                x = mp.mpf(theta)
-            c2 = mp.cos(x / 2) ** 2
-            y = c2 * (1 << THRESHOLD_BITS)
-            yr = mp.nint(y)
-            # snap to the nearest integer when the value is exact to well
-            # beyond the working error, otherwise truncate
-            t_int = int(yr) if abs(y - yr) < mp.mpf(2) ** (-64) else int(mp.floor(y))
-        return cls(min(max(t_int, 0), 1 << THRESHOLD_BITS))
+        return cls(_threshold_int(theta))
 
     @property
     def value(self) -> Fraction:
@@ -178,11 +202,7 @@ def biased_quantile_threshold(theta: AngleLike, zero_density) -> BinaryThreshold
         w = _to_mpf(zero_density)
         if not (0 < w < 1):
             raise ValueError("zero_density must lie strictly between 0 and 1")
-        if isinstance(theta, Fraction):
-            x = mp.pi * theta.numerator / theta.denominator
-        else:
-            x = mp.mpf(theta)
-        u = mp.cos(x / 2) ** 2
+        u = _cos2_half(theta)
         # snap values that are exact at the working precision, so the
         # anchor angles produce bit-exact thresholds
         eps = mp.mpf(2) ** (-(THRESHOLD_BITS + 64))
@@ -404,7 +424,7 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
         raise ValueError("alpha and dt must be positive")
     if jitter_depth < 0:
         raise ValueError("jitter_depth must be non-negative")
-    rng = make_rng(seed)
+    rng = None  # made at the first jitter draw: most walks absorb before one
     fine = max(jitter_depth, lam0.depth)
     num = lam0.numerator << (fine - lam0.depth)
     theta = float(theta0)
@@ -420,6 +440,7 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
             return WalkResult(traj, ReductionOutcome(
                 DigitString.constant(2, j, len(r0)), j, step))
         if jitter_depth > 0:
+            rng = rng or make_rng(seed)
             k = int(rng.integers(1, 1 << jitter_depth))
             sign = 1 if rng.integers(0, 2) else -1
             num = (num + (sign * k << (fine - jitter_depth))) % (1 << fine)

@@ -8,11 +8,11 @@ digit - 1, by the dyadic angle, rotate the whole base-3 string by the
 triadic angle, then apply the two-stage partial reduction (theta2 over
 the {1,2} subsequence, theta1 over the zero/nonzero indicator).
 
-Angles follow one package-wide convention: a Fraction means an exact
-multiple of pi (so grid membership is checkable syntactically), a float
-means radians.  Longitudes must land on the p-adic grid of the permitted
-depth; anything else raises OffGrid, by design rather than by limitation,
-because off-grid states are undefined objects in this model.
+Angles follow one convention, owned by ``reduction``: a Fraction is an
+exact multiple of pi (so grid membership is checkable syntactically), a
+float is radians.  Longitudes must land on the p-adic grid of the
+permitted depth; anything else raises OffGrid, by design rather than by
+limitation, because off-grid states are undefined objects in this model.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .digits import DigitString, champernowne, phi_shift, relabel
 from .errors import EmptyResult, NotAnEigenstate, OffGrid, SuffixTooShort
 from .phase import PAdicRational, _rotated_prefix, phase_rotate
-from .reduction import (BinaryThreshold, K_GUARD, ReductionOutcome,
+from .reduction import (AngleLike, BinaryThreshold, K_GUARD, ReductionOutcome,
                         _deletion_mask, biased_quantile_threshold,
                         partial_reduce, reduce_compound)
 
@@ -50,7 +50,6 @@ __all__ = [
     "measurement_coupling",
 ]
 
-AngleLike = Union[float, Fraction, BinaryThreshold]
 TurnsLike = Union[Fraction, PAdicRational]
 
 
@@ -192,11 +191,12 @@ def qutrit_state(cfg: StateConfig, ang: QutritAngles) -> DigitString:
         raise ValueError("qutrit_state needs a base-3 seed")
     q1 = _padic_turns(ang.lam1, 3, cfg.n_max)
     q2 = _padic_turns(ang.lam2, 2, cfg.dyadic_depth)
-    t1, t2 = qutrit_thresholds(ang)
+    t1, t2 = qutrit_thresholds(ang.theta1, ang.theta2)
     return _qutrit_reduce(_qutrit_pipeline(s0, q1, q2), t1, t2)
 
 
-def qutrit_thresholds(ang: QutritAngles) -> tuple[BinaryThreshold, BinaryThreshold]:
+def qutrit_thresholds(theta1: AngleLike,
+                      theta2: AngleLike) -> tuple[BinaryThreshold, BinaryThreshold]:
     """Comparison thresholds of the two reduction stages.
 
     The {1,2} subsequence of a base-3 normal string is balanced, so the
@@ -214,11 +214,11 @@ def qutrit_thresholds(ang: QutritAngles) -> tuple[BinaryThreshold, BinaryThresho
     w2-biased law, which realizes the nominal cos^2(theta1/2) level and
     is the exact identity at cos^2(theta1/2) = w2.
     """
-    t2 = BinaryThreshold.from_angle(ang.theta2)
+    t2 = BinaryThreshold.from_angle(theta2)
     u2 = t2.value
     s1 = Fraction(1 + 2 * min(u2, 1 - u2), 2)
     w2 = Fraction(1, 3) / (Fraction(1, 3) + Fraction(2, 3) * s1)
-    t1 = biased_quantile_threshold(ang.theta1, w2)
+    t1 = biased_quantile_threshold(theta1, w2)
     return t1, t2
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
-from digitq import experiments
+from digitq import experiments, reduction
 from digitq.errors import LengthNotDivisible, NonConvergence, OffGrid
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
@@ -223,7 +223,7 @@ class TestTraceRule:
             q1 = PAdicRational(3, int(rng.integers(0, 3 ** depth1)), depth1)
             q2 = PAdicRational(2, int(rng.integers(0, 1 << depth2)), depth2)
             ang = QutritAngles(th1, th2, q1, q2)
-            t1, t2 = qutrit_thresholds(ang)
+            t1, t2 = qutrit_thresholds(th1, th2)
             fast = _qutrit_leading_digit(qcfg, t1, t2, q1, q2)
             assert fast == qutrit_state(qcfg, ang).leading_digit, (th1, th2, q1, q2)
 
@@ -259,7 +259,7 @@ class TestTraceRule:
         # bits of t2, so no stage-1 decision among them is made before the
         # continuation of 2s is read; zero padding would decide otherwise
         ang = QutritAngles(Fraction(1), theta2, Fraction(0), Fraction(0))
-        t1, t2 = qutrit_thresholds(ang)
+        t1, t2 = qutrit_thresholds(Fraction(1), theta2)
         bits = np.array([t2.digit(j) for j in range(1, 51)], dtype=np.uint8)
         digits = np.zeros(3 * 4096, dtype=np.uint8)
         digits[:40] = bits[:40] + 1
@@ -407,6 +407,17 @@ class TestHotPathsBuildNoOperator:
         after = _rotation_operator_cached.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    def test_epr_ensemble_reads_the_odometer(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense operator applied")
+
+        monkeypatch.setattr(experiments, "apply_operator", refuse)
+        before = _rotation_operator_cached.cache_info()
+        pairs = list(make_epr_ensemble(Fraction(1, 3), 64))
+        after = _rotation_operator_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert [p.pair_index for p in pairs] == list(range(1, 65))
+
 
 class TestWeakReduction:
     def test_balanced_start(self):
@@ -429,6 +440,44 @@ class TestWeakReduction:
     def test_needs_a_walk(self):
         with pytest.raises(ValueError):
             weak_reduction_experiment(Fraction(1, 3), ensemble_size=0)
+
+    @staticmethod
+    def _record_steps(monkeypatch):
+        steps = []
+        walk = experiments.weak_reduction_walk
+
+        def record(*args):
+            res = walk(*args)
+            steps.append(res.outcome.steps)
+            return res
+
+        monkeypatch.setattr(experiments, "weak_reduction_walk", record)
+        return steps
+
+    @pytest.mark.parametrize("alpha", [4096.0, 16.0])
+    def test_jitter_stream_is_made_only_for_a_second_step(self, monkeypatch, alpha):
+        # a walk that absorbs in step 1 never draws from its jitter stream;
+        # at alpha 16 three of the 20 walks take a second step
+        steps = self._record_steps(monkeypatch)
+        made = []
+        monkeypatch.setattr(reduction, "make_rng",
+                            lambda seed: made.append(seed) or make_rng(seed))
+        weak_reduction_experiment(Fraction(1, 2), ensemble_size=20, alpha=alpha, seed=0)
+        assert len(steps) == 20
+        assert len(made) == sum(n > 1 for n in steps)
+
+    @pytest.mark.parametrize("alpha", [4096.0, 16.0])
+    def test_threshold_is_built_once_per_angle(self, monkeypatch, alpha):
+        # every walk's step 1 is at theta0, so only later steps can miss
+        steps = self._record_steps(monkeypatch)
+        misses = []
+        cos2 = reduction._cos2_half
+        monkeypatch.setattr(reduction, "_cos2_half",
+                            lambda theta: misses.append(theta) or cos2(theta))
+        reduction._threshold_int.cache_clear()
+        weak_reduction_experiment(Fraction(1, 3), ensemble_size=200, alpha=alpha, seed=0)
+        assert len(steps) == 200
+        assert 1 <= len(misses) <= 1 + sum(steps) - len(steps)
 
     def test_jitter_free_walks_start_on_the_config_grid(self, monkeypatch):
         # without jitter the start longitude is a walk's only randomness;

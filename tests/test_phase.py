@@ -41,6 +41,12 @@ class TestPAdicRational:
         q = PAdicRational.from_fraction(Fraction(9, 8), 2)
         assert q.fraction == Fraction(1, 8)
 
+    def test_mod1(self):
+        assert PAdicRational(2, 11, 3).mod1() == PAdicRational(2, 3, 3)
+        # an integer at depth 0 is 0 mod 1, with no branch for depth 0
+        for p in (2, 3, 5):
+            assert PAdicRational(p, 7, 0).mod1() == PAdicRational(p, 0, 0)
+
     def test_multiplication(self):
         q = PAdicRational(2, 1, 3) * 4
         assert (q.numerator, q.depth) == (1, 1)
@@ -138,6 +144,14 @@ class TestGroupLaws:
             naive = compose(naive, op)
         assert operator_pow(op, m) == naive
 
+    def test_huge_exponent_needs_no_order(self, monkeypatch):
+        # repeated squaring takes log2(m) compositions; no cycle is walked
+        def refuse(self):
+            raise AssertionError("order() called")
+
+        monkeypatch.setattr(BlockOperator, "order", refuse)
+        assert operator_pow(omega_root(2, 3), 10 ** 18 + 5) == operator_pow(omega_root(2, 3), 5)
+
     def test_order(self):
         assert omega_root(2, 0).order() == 2
         assert omega_root(2, 1).order() == 4
@@ -206,6 +220,11 @@ class TestPhaseRotate:
         for m in range(p ** n + 3):
             op = extend_to(rotation_operator(PAdicRational(p, m, n)), root.size)
             assert op == operator_pow(root, m), m
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_depth0_rotation_operator_is_the_size1_identity(self, p):
+        assert rotation_operator(PAdicRational(p, 0, 0)) == identity_operator(p, 1)
+        assert rotation_operator(PAdicRational(p, 7, 0)) == identity_operator(p, 1)
 
     def test_exponent_reduced_mod_order(self):
         s = champernowne(2, 256)

@@ -131,6 +131,42 @@ class TestBinaryThreshold:
                 err = abs(mp.mpf(t.value.numerator) / t.value.denominator - exact)
                 assert err < mp.mpf(2) ** -64
 
+    def test_fraction_is_a_multiple_of_pi_and_a_float_is_radians(self):
+        # Fraction(1, 2) == 0.5 and both hash alike, yet one is pi/2 and the
+        # other 0.5 rad; the per-angle cache must keep them apart in either
+        # order
+        for order in ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))):
+            reduction._threshold_int.cache_clear()
+            got = {type(th): BinaryThreshold.from_angle(th).t_int for th in order}
+            assert got == {Fraction: 1 << 63, float: 17317642498225815158}
+
+    @pytest.mark.parametrize("theta,t_int", [
+        # the suite's polarization, EPR and seed-invariance angles
+        (Fraction(0), 1 << 64),
+        (Fraction(1, 6), 17211046529326033358),
+        (Fraction(1, 4), 15745280949521166914),
+        (Fraction(1, 3), 13835058055282163712),
+        (Fraction(2, 5), 12073550741685575429),
+        (Fraction(1, 2), 9223372036854775808),
+        (Fraction(2, 3), 4611686018427387904),
+        (Fraction(3, 4), 2701463124188384701),
+        (Fraction(5, 6), 1235697544383518257),
+        (Fraction(1), 0),
+        # the walk reads its start angles as float radians
+        (math.pi / 3, 13835058055282164629),
+        (math.pi / 2, 9223372036854776372),
+        (2 * math.pi / 3, 4611686018427389738),
+        (math.pi, 0),
+    ])
+    def test_pinned_thresholds(self, theta, t_int):
+        assert BinaryThreshold.from_angle(theta).t_int == t_int
+
+    def test_each_call_builds_a_fresh_threshold(self):
+        # the cache holds the integer, not the object
+        a = BinaryThreshold.from_angle(Fraction(1, 3))
+        b = BinaryThreshold.from_angle(Fraction(1, 3))
+        assert a is not b and a.t_int == b.t_int
+
     def test_digit_string_view(self):
         t = BinaryThreshold.from_angle(Fraction(1, 2))
         d = t.digit_string

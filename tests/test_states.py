@@ -17,8 +17,8 @@ from digitq.states import (BlochPoint, QutritAngles, StateConfig,
                            beamsplitter_pair, blocked_mz_output, composite,
                            decompose, default_config, default_qutrit_config,
                            full_mz_output, hadamard_equiv, measurement_coupling,
-                           qubit_state, qutrit_state, schrodinger_evolve,
-                           subsystem, u_n_gate)
+                           qubit_state, qutrit_state, qutrit_thresholds,
+                           schrodinger_evolve, subsystem, u_n_gate)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,18 @@ class TestQutritState:
                                                 lam1, lam2))
             devs.append(np.abs(degree_of_normality(s) - 1 / 3).max())
         assert np.mean(devs) < 0.03
+
+    @pytest.mark.parametrize("theta1,theta2,t1,t2", [
+        (2 * math.acos(1 / math.sqrt(3)), Fraction(1, 2),
+         9223372037814915255, 9223372036854775808),
+        (Fraction(1, 2), Fraction(1, 3), 11690462001134556631, 13835058055282163712),
+        (Fraction(1), Fraction(1, 4), 0, 15745280949521166914),
+    ])
+    def test_thresholds_of_the_trace_pairs_are_pinned(self, theta1, theta2, t1, t2):
+        # the suite's three trace-rule pairs; any change in how an angle is
+        # read or a quantile is built moves these literals
+        got = qutrit_thresholds(theta1, theta2)
+        assert (got[0].t_int, got[1].t_int) == (t1, t2)
 
     def test_off_grid_lam1(self, qcfg):
         with pytest.raises(OffGrid):
