@@ -308,9 +308,14 @@ def phi_shift(s: DigitString, k: int) -> DigitString:
 def _digits_to_int(arr: np.ndarray, base: int) -> int:
     """Value of the digit array read as a base-``base`` integer.
 
-    Divide and conquer so that million-digit strings stay subquadratic;
-    python ints do the big arithmetic.
+    Base 2 packs the bits eight to a byte and reads the bytes as one
+    big-endian integer, less the zero bits that pad the last byte.  Other
+    bases divide and conquer so that million-digit strings stay
+    subquadratic; python ints do the big arithmetic.
     """
+    if base == 2:
+        return int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
+
     def rec(lo: int, hi: int) -> int:
         n = hi - lo
         if n <= 1024:

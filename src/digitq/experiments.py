@@ -17,13 +17,17 @@ A note on speed: leading-digit statistics only need a prefix of each
 state, because rotations act blockwise and every deletion decision is
 local to its own suffix.  Every rotation on these paths is read from the
 odometer (``phase._rotated_rows``) at the places it needs; no dense
-operator is built.  The trace rule rotates seed prefixes through the
-constructor's own rotation stage and reads the leading digit off one
-window of stage 1 by the first-survivor lemma; unit tests pin it to the
-constructor.  Dyadic grid sweeps take a column of numerators, so the
-leading 64 digits of every rotated seed come from a single gather, and
-polarization, interference and seed invariance read nothing but those
-cached windows.  The EPR correlation is an exact digit sum.
+operator is built.  The trace rule reads the leading digit off one window
+of stage 1 by the first-survivor lemma, for a chunk of samples at once:
+one gather per rotation gives the first 3^(n_max-1) places of every
+rotated seed as the rows of a matrix.  The rare row those places leave
+undecided goes through the per-sample reader, which rotates growing
+seed prefixes through the constructor's own rotation stage; unit tests
+pin the batch to it and it to the constructor.  Dyadic grid sweeps take
+a column of numerators, so the leading 64 digits of every rotated seed
+come from a single gather, and polarization, interference and seed
+invariance read nothing but those cached windows.  The EPR correlation
+is an exact digit sum.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
 from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, extend_to,
                     omega_root, operator_pow, phase_rotate)
 from .reduction import (THRESHOLD_BITS, BinaryThreshold, _angle_float, _angle_repr,
-                        _window_u64, weak_reduction_walk)
+                        _deletion_mask, _window_u64, weak_reduction_walk)
 from .rng import derive_seed, make_rng
 from .states import (StateConfig, _qutrit_pipeline, _stage1_keep, default_config,
                      default_qutrit_config, qutrit_thresholds)
@@ -257,6 +261,8 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 # ---------------------------------------------------------------------------
 # three-level trace rule
 
+_TRACE_ROWS = 32  # samples per batch: a 32 x 729 int64 matrix is 187 KB
+
 
 def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                           q1: PAdicRational, q2: PAdicRational) -> int:
@@ -289,6 +295,79 @@ def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThres
         prefix *= 4
 
 
+def _leading_digit_rows(s0: np.ndarray, nz: np.ndarray, bits0: np.ndarray,
+                        t1: BinaryThreshold, t2: BinaryThreshold, depth1: int,
+                        depth2: int, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """``_qutrit_leading_digit`` of one chunk of samples, one row each,
+    from the first W places of every rotated seed; -1 where those places
+    do not decide it.
+
+    ``s0`` holds the W seed digits, ``nz`` their nonzero places and
+    ``bits0`` the bits (digit - 1) of the seed's nonzero digits, whole q2
+    blocks of them past ``nz``.  The rows go through the constructor's
+    stages as matrices: the q2 and q1 gathers, the stage-1 deletion over
+    each row's nonzero digits (sorted to the front, in order), and the
+    read of the first survivor off stage 1.
+    """
+    S, W = e1.size, s0.size
+    cols = np.arange(W)
+    pre = np.tile(s0, (S, 1))
+    pre[:, nz] = _rotated_rows(bits0, 2, depth2, e2[:, None], np.arange(nz.size)) + 1
+    rot = _rotated_rows(pre, 3, depth1, e1[:, None], cols)
+    by_rank = np.argsort(rot == 0, axis=1, kind="stable")
+    c = np.count_nonzero(rot, axis=1)
+    ranked = np.take_along_axis(rot, by_rank, axis=1)
+    # nonzero digit j is decided once its whole window, ranks j..j+63, is
+    # read; the zeros, ranks c and up, all stay
+    undecided = np.maximum(c - (THRESHOLD_BITS - 1), 0)
+    kept = (cols >= c[:, None]) | (cols < undecided[:, None]) & ~_deletion_mask(ranked == 2, t2)
+    # stage 1 is known up to the place of the first undecided nonzero digit
+    first = np.take_along_axis(by_rank, undecided[:, None], axis=1)[:, 0]
+    known = np.where(c > 0, first, W)
+    keep = np.empty_like(kept)
+    np.put_along_axis(keep, by_rank, kept & (by_rank < known[:, None]), axis=1)
+    n1 = np.count_nonzero(keep, axis=1)
+    stage1 = np.take_along_axis(rot, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    valid = cols < n1[:, None]
+    hi = (stage1 != 0) & valid
+    wanted = (hi == t1.at_or_below(_window_u64(hi, 1))) & valid
+    lead = stage1[np.arange(S), wanted.argmax(axis=1)].astype(np.int64)
+    return np.where((n1 >= THRESHOLD_BITS) & wanted.any(axis=1), lead, -1)
+
+
+def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
+                           grid1: SampleGrid, grid2: SampleGrid, e1s: np.ndarray,
+                           e2s: np.ndarray) -> np.ndarray:
+    """``_qutrit_leading_digit`` at every sampled pair of numerators
+    (e1s[i]/3^depth1, e2s[i]/2^depth2), _TRACE_ROWS rows at a time.
+
+    Blocks rotate independently, so the first W = 3^(n_max-1) places of a
+    rotated seed come from its first W digits and the first whole q2
+    blocks of its nonzero digits.  Both gathers run at the grid depths: a
+    numerator divisible by the base reads the same digits as its reduced
+    form one level down.  Rows whose W places leave the digit undecided
+    go through ``_qutrit_leading_digit``, and so does every row when the
+    seed holds no nonzero digit past the q2 blocks that cover W.
+    """
+    d = cfg.seed_string.digits
+    W = 3 ** max(cfg.n_max - 1, 0)
+    nz = np.flatnonzero(d[:W])
+    block2 = 1 << max(grid2.depth - 1, 0)
+    need = -(-(nz.size + 1) // block2) * block2
+    bits0 = d[d != 0][:need] - 1
+    leads = np.full(e1s.size, -1, dtype=np.int64)
+    if bits0.size == need:
+        for lo in range(0, e1s.size, _TRACE_ROWS):
+            rows = slice(lo, lo + _TRACE_ROWS)
+            leads[rows] = _leading_digit_rows(d[:W], nz, bits0, t1, t2, grid1.depth,
+                                              grid2.depth, e1s[rows], e2s[rows])
+    for i in np.flatnonzero(leads < 0):
+        leads[i] = _qutrit_leading_digit(cfg, t1, t2,
+                                         PAdicRational(3, int(e1s[i]), grid1.depth),
+                                         PAdicRational(2, int(e2s[i]), grid2.depth))
+    return leads
+
+
 def trace_rule_expectations(theta1, theta2) -> tuple[float, float, float]:
     th1 = _angle_float(theta1)
     th2 = _angle_float(theta2)
@@ -302,7 +381,12 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
                           cfg: Optional[StateConfig] = None, n_samples: int = 1 << 12,
                           seed: int = 0) -> ExperimentReport:
     """Attractor frequencies of the compound reduction over sampled
-    (triadic, dyadic) longitude pairs versus the trace rule."""
+    (triadic, dyadic) longitude pairs versus the trace rule.
+
+    The samples' leading digits come from ``_qutrit_leading_digits``: one
+    row per sample, _TRACE_ROWS rows at a time, with the per-sample
+    ``_qutrit_leading_digit`` as the fallback for rows the batch leaves
+    undecided, so the counts are those of the per-sample reader."""
     if n_samples < 1:
         raise ValueError("the trace rule needs at least one sample")
     cfg = cfg or default_qutrit_config()
@@ -313,11 +397,8 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
     rng = make_rng(seed)
     e1s = rng.integers(0, grid1.modulus, size=n_samples)
     e2s = rng.integers(0, grid2.modulus, size=n_samples)
-    leads = [_qutrit_leading_digit(cfg, t1, t2,
-                                   PAdicRational(3, int(e1), grid1.depth),
-                                   PAdicRational(2, int(e2), grid2.depth))
-             for e1, e2 in zip(e1s, e2s)]
-    counts = np.bincount(np.array(leads, dtype=np.int64), minlength=3)
+    counts = np.bincount(_qutrit_leading_digits(cfg, t1, t2, grid1, grid2, e1s, e2s),
+                         minlength=3)
     rhos = trace_rule_expectations(theta1, theta2)
     stats = []
     for j in range(3):

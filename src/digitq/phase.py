@@ -307,12 +307,16 @@ def _odometer(p: int, n: int, m, places=None) -> tuple[np.ndarray, np.ndarray]:
     module docstring), at ``places`` (default: every place of the block).
 
     ``m`` may be an integer array; it broadcasts against ``places``, so a
-    column of exponents gives one row per power.
+    column of exponents gives one row per power.  With m = hi * p^n + lo,
+    rev(j) - m borrows out of the block exactly when rev(j) < lo, so no
+    division runs over the places.
     """
     rev = _digit_reversal(p, n)
-    t = (rev if places is None else rev[places]) - m
+    r = rev if places is None else rev[places]
     size = p ** n
-    return rev[t % size], -(t // size) % p
+    hi, lo = np.divmod(m, size)
+    borrow = r < lo
+    return rev[r - lo + size * borrow], (hi + borrow) % p
 
 
 @lru_cache(maxsize=1024)
@@ -338,11 +342,16 @@ def _rotated_rows(digits: np.ndarray, p: int, depth: int, numerators,
     """Digits at ``places`` of the base-p rows rotated by m/p^depth of a
     turn, in one odometer gather: place j reads the p^(depth-1)-block that
     starts at j - j mod block, and depth 0 (one place, m mod 1 = 0) is the
-    identity.  A column of ``numerators`` gives one row per numerator."""
+    identity.  A column of ``numerators`` gives one row per numerator: of
+    the one string ``digits`` when it is 1-D, and of its own row of
+    ``digits`` when that is a matrix with one row per numerator."""
     n = max(depth - 1, 0)
     inner = places % p ** n
     src, shift = _odometer(p, n, numerators % p ** depth, inner)
-    return _add_mod(np.take(digits, places - inner + src, axis=-1), shift, p)
+    idx = places - inner + src
+    if digits.ndim > 1 and idx.ndim > 1:
+        return _add_mod(np.take_along_axis(digits, idx, axis=-1), shift, p)
+    return _add_mod(np.take(digits, idx, axis=-1), shift, p)
 
 
 def _rotated_prefix(digits: np.ndarray, q: PAdicRational, n_digits: int) -> np.ndarray:

@@ -262,13 +262,14 @@ def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
 
 
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
-    """Boolean mask: suffix at position j (zero padded) >= threshold."""
-    return thr.at_or_below(_window_u64(bits01, bits01.size))
+    """Boolean mask: suffix at position j (zero padded) >= threshold, of
+    each row of ``bits01``."""
+    return thr.at_or_below(_window_u64(bits01, bits01.shape[-1]))
 
 
 def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     """Deletion mask of the two-symbol reduction rule, given the boolean
-    hi indicator of the string.
+    hi indicator of the string (or of each row of a matrix of strings).
 
     hi deleted iff suffix < t, lo deleted iff suffix >= t: hi XOR
     (suffix >= t).

@@ -232,6 +232,16 @@ class TestValue:
                      for i, d in enumerate(s.digits))
         assert value(s) == oracle
 
+    @pytest.mark.parametrize("n", [*range(21), 1023, 1024, 1025, 4096, 1 << 18])
+    def test_base2_fast_path_matches_the_loop(self, n):
+        # the bit pairs of a base-2 string, read as base-4 digits, go
+        # through the divide-and-conquer loop to the same integer
+        bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        got = digits_module._digits_to_int(bits, 2)
+        even = np.concatenate([np.zeros(n % 2, dtype=np.uint8), bits])
+        assert got == digits_module._digits_to_int(2 * even[0::2] + even[1::2], 4)
+        assert got == int("0" + "".join(map(str, bits.tolist())), 2)
+
     @given(small_strings)
     def test_value_float_agrees(self, s):
         assert value_float(s) == pytest.approx(float(value(s)), abs=1e-12)

@@ -16,7 +16,8 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 operator_algebra_checks,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
-                                _grid_leading_windows, _qutrit_leading_digit)
+                                _grid_leading_windows, _qutrit_leading_digit,
+                                _qutrit_leading_digits)
 from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
 from digitq.reduction import reduce_compound
 from digitq.rng import derive_seed, make_rng
@@ -174,6 +175,26 @@ class TestPolarization:
                                     default_qutrit_config())
 
 
+def zero_run_config():
+    """Qutrit config whose seed has no nonzero digit in its first 12
+    triadic blocks."""
+    zeros = 12 * 3 ** 6
+    digits = np.concatenate([np.zeros(zeros, dtype=np.uint8),
+                             champernowne(3, 3 ** 10 - zeros).digits])
+    return StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
+
+
+def undecided_stage1_config(t2):
+    """n_max = 1 config whose first 4096 seed digits hold 50 nonzero
+    digits, the first 50 bits of t2, with 2s from place 4096 on."""
+    bits = np.array([t2.digit(j) for j in range(1, 51)], dtype=np.uint8)
+    digits = np.zeros(3 * 4096, dtype=np.uint8)
+    digits[:40] = bits[:40] + 1
+    digits[4000:4010] = bits[40:] + 1
+    digits[4096:] = 2
+    return StateConfig(DigitString(3, digits), n_max=1, inner_dyadic_depth=0)
+
+
 class TestTraceRule:
     def test_small_run_passes(self):
         rep = trace_rule_experiment(Fraction(1, 2), Fraction(1, 3),
@@ -244,14 +265,10 @@ class TestTraceRule:
     def test_fast_path_grows_past_a_zero_run(self):
         # no nonzero digit in the first 12 triadic blocks, so the harness
         # must grow its seed prefix before it can read any digit
-        zeros = 12 * 3 ** 6
-        digits = np.concatenate([np.zeros(zeros, dtype=np.uint8),
-                                 champernowne(3, 3 ** 10 - zeros).digits])
-        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
         rng = make_rng(4)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(20)]
-        self._assert_fast_path_matches(qcfg, pairs, 7, 12, rng)
+        self._assert_fast_path_matches(zero_run_config(), pairs, 7, 12, rng)
 
     @pytest.mark.parametrize("theta2", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_fast_path_waits_for_undecided_stage1_digits(self, theta2):
@@ -260,15 +277,119 @@ class TestTraceRule:
         # continuation of 2s is read; zero padding would decide otherwise
         ang = QutritAngles(Fraction(1), theta2, Fraction(0), Fraction(0))
         t1, t2 = qutrit_thresholds(Fraction(1), theta2)
-        bits = np.array([t2.digit(j) for j in range(1, 51)], dtype=np.uint8)
-        digits = np.zeros(3 * 4096, dtype=np.uint8)
-        digits[:40] = bits[:40] + 1
-        digits[4000:4010] = bits[40:] + 1
-        digits[4096:] = 2
-        qcfg = StateConfig(DigitString(3, digits), n_max=1, inner_dyadic_depth=0)
+        qcfg = undecided_stage1_config(t2)
         fast = _qutrit_leading_digit(qcfg, t1, t2, PAdicRational(3, 0, 0),
                                      PAdicRational(2, 0, 0))
         assert fast == qutrit_state(qcfg, ang).leading_digit
+
+
+class TestBatchedTraceRule:
+    """The batch is pinned to the per-sample harness, its fallback."""
+
+    SUITE_PAIRS = [(2 * math.acos(1 / math.sqrt(3)), Fraction(1, 2)),
+                   (Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(1, 4))]
+
+    @staticmethod
+    def counting_fallback(monkeypatch):
+        rows = []
+
+        def per_sample(*args):
+            rows.append(args)
+            return _qutrit_leading_digit(*args)
+
+        monkeypatch.setattr(experiments, "_qutrit_leading_digit", per_sample)
+        return rows
+
+    @staticmethod
+    def assert_batch_matches(qcfg, angle_pairs, depth1, depth2, rng, n=16):
+        grid1, grid2 = SampleGrid(depth1, 3), SampleGrid(depth2)
+        for th1, th2 in angle_pairs:
+            t1, t2 = qutrit_thresholds(th1, th2)
+            e1s = rng.integers(0, grid1.modulus, size=n)
+            e2s = rng.integers(0, grid2.modulus, size=n)
+            got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
+            want = [_qutrit_leading_digit(qcfg, t1, t2, PAdicRational(3, int(e1), depth1),
+                                          PAdicRational(2, int(e2), depth2))
+                    for e1, e2 in zip(e1s, e2s)]
+            assert got.tolist() == want, (th1, th2)
+
+    @pytest.mark.parametrize("depth1,depth2", [(5, 9), (7, 12)])
+    def test_matches_the_harness(self, monkeypatch, depth1, depth2):
+        rng = make_rng(5)
+        pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
+                 for _ in range(25)]
+        fallback = self.counting_fallback(monkeypatch)
+        self.assert_batch_matches(default_qutrit_config(), self.SUITE_PAIRS + pairs,
+                                  depth1, depth2, rng)
+        assert fallback == []  # the default seed decides every row in the batch
+
+    def test_zero_run_seed_falls_back_and_agrees(self, monkeypatch):
+        # no nonzero digit in the first 12 triadic blocks: the batch's 729
+        # places are a rotated zero block, which leaves some rows undecided
+        fallback = self.counting_fallback(monkeypatch)
+        rng = make_rng(4)
+        pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
+                 for _ in range(20)]
+        self.assert_batch_matches(zero_run_config(), pairs, 7, 12, rng, n=64)
+        assert fallback
+
+    @pytest.mark.parametrize("theta2", [0.5, 2.5])
+    def test_one_place_window_falls_back_for_every_row(self, monkeypatch, theta2):
+        # n_max = 1 leaves the batch one place per row, never 64 stage-1 digits
+        t1, t2 = qutrit_thresholds(Fraction(1), theta2)
+        qcfg = undecided_stage1_config(t2)
+        fallback = self.counting_fallback(monkeypatch)
+        zero = np.zeros(3, dtype=np.int64)
+        got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(0, 3), SampleGrid(0),
+                                     zero, zero)
+        assert len(fallback) == 3
+        ang = QutritAngles(Fraction(1), theta2, Fraction(0), Fraction(0))
+        assert got.tolist() == 3 * [qutrit_state(qcfg, ang).leading_digit]
+
+    def test_stage1_prefix_short_of_a_window_falls_back(self, monkeypatch):
+        # the first 729 places hold a zero and then 40 nonzero digits, none
+        # of them decided there, so the batch knows one stage-1 digit; read
+        # zero padded, its window would want a zero where the state leads
+        # with a nonzero digit
+        digits = np.zeros(3 ** 8, dtype=np.uint8)
+        digits[1:41] = 2
+        digits[3 ** 6:] = champernowne(3, 3 ** 8 - 3 ** 6).digits
+        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=0)
+        ang = QutritAngles(2.9, 1.0, Fraction(0), Fraction(0))
+        t1, t2 = qutrit_thresholds(2.9, 1.0)
+        fallback = self.counting_fallback(monkeypatch)
+        zero = np.zeros(1, dtype=np.int64)
+        got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(0, 3), SampleGrid(0),
+                                     zero, zero)
+        assert len(fallback) == 1
+        assert got.tolist() == [qutrit_state(qcfg, ang).leading_digit] == [2]
+
+    def test_seed_short_of_a_q2_block_falls_back_for_every_row(self, monkeypatch):
+        # 3^7 seed digits hold no whole depth-12 block of 2048 nonzero ones;
+        # even numerators reduce to depth 11, where the harness reads them
+        qcfg = StateConfig(champernowne(3, 3 ** 7), n_max=7, inner_dyadic_depth=12)
+        assert np.count_nonzero(qcfg.seed_string.digits) < 2048
+        fallback = self.counting_fallback(monkeypatch)
+        rng = make_rng(7)
+        e1s = rng.integers(0, 3 ** 7, size=8)
+        e2s = 2 * rng.integers(0, 1 << 11, size=8)
+        t1, t2 = qutrit_thresholds(Fraction(1, 2), Fraction(1, 3))
+        got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(7, 3), SampleGrid(12),
+                                     e1s, e2s)
+        assert len(fallback) == 8
+        for lead, e1, e2 in zip(got, e1s, e2s):
+            ang = QutritAngles(Fraction(1, 2), Fraction(1, 3), PAdicRational(3, int(e1), 7),
+                               PAdicRational(2, int(e2), 12))
+            assert lead == qutrit_state(qcfg, ang).leading_digit
+
+    def test_chunk_size_does_not_change_the_counts(self, monkeypatch):
+        kwargs = dict(theta1=Fraction(1, 2), theta2=Fraction(1, 3),
+                      grid1=SampleGrid(depth=7, base=3), grid2=SampleGrid(depth=12),
+                      n_samples=40, seed=6)
+        want = trace_rule_experiment(**kwargs).to_json_dict()["statistics"]
+        for rows in (1, 7, 40):
+            monkeypatch.setattr(experiments, "_TRACE_ROWS", rows)
+            assert trace_rule_experiment(**kwargs).to_json_dict()["statistics"] == want
 
 
 class TestInterference:

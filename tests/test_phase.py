@@ -292,6 +292,20 @@ class TestRotatedRows:
         for m, row in zip(ms, rows):
             assert np.array_equal(row, _rotated_rows(s.digits, p, n, int(m), places))
 
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (3, 5), (5, 2)])
+    def test_row_form_reads_each_row_as_its_own_string(self, p, n):
+        # a matrix of strings with a column of numerators, one per row: each
+        # row rotates its own digits, not every string by every numerator
+        rows = np.stack([self.string(p, n).digits, rand_string(p, len(self.string(p, n)),
+                                                               seed=99).digits])
+        rows = np.concatenate([rows, rows[::-1], rows])
+        places = np.arange(rows.shape[1])
+        ms = np.array(self.numerators(p, n)[:rows.shape[0]])
+        got = _rotated_rows(rows, p, n, ms[:, None], places)
+        assert got.shape == rows.shape
+        for m, row, digits in zip(ms, got, rows):
+            assert np.array_equal(row, _rotated_rows(digits, p, n, int(m), places))
+
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3)])
     def test_prefix_rounds_up_to_whole_blocks(self, p, n):
         s = self.string(p, n)

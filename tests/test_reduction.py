@@ -103,6 +103,18 @@ class TestWindowKernel:
                 assert np.array_equal(row, _window_u64(bits, length))
                 assert np.array_equal(row, float_window_u64(zero_padded(bits), length))
 
+    @pytest.mark.parametrize("t", [0, 1, 1 << 63, 0x9E3779B97F4A7C15, 1 << 64])
+    def test_row_form_of_the_suffix_comparison(self, t):
+        # _suffix_ge_mask and _deletion_mask read each row as its own string
+        thr = BinaryThreshold(t)
+        rows = np.random.default_rng(11).integers(0, 2, (5, 130)).astype(bool)
+        ge = reduction._suffix_ge_mask(rows, thr)
+        dele = reduction._deletion_mask(rows, thr)
+        assert ge.shape == dele.shape == rows.shape
+        for bits, row_ge, row_del in zip(rows, ge, dele):
+            assert np.array_equal(row_ge, reduction._suffix_ge_mask(bits, thr))
+            assert np.array_equal(row_del, reduction._deletion_mask(bits, thr))
+
     def test_empty_input_reads_a_zero_window(self):
         # the trace-rule harness reads place 0 of a stage-1 string that may be empty
         for dtype in (bool, np.uint8):
