@@ -14,20 +14,22 @@ max(0.02, 4 * sqrt(p(1-p)/n)), the binomial four-sigma band floored at
 two points.
 
 A note on speed: leading-digit statistics only need a prefix of each
-state, because rotations act blockwise and every deletion decision is
-local to its own suffix.  Every rotation on these paths is read from the
-odometer (``phase._rotated_rows``) at the places it needs; no dense
-operator is built.  The trace rule reads the leading digit off one window
-of stage 1 by the first-survivor lemma, for a chunk of samples at once:
-one gather per rotation gives the first 3^(n_max-1) places of every
-rotated seed as the rows of a matrix.  The rare row those places leave
-undecided goes through the per-sample reader, which rotates growing
-seed prefixes through the constructor's own rotation stage; unit tests
-pin the batch to it and it to the constructor.  Dyadic grid sweeps take
-a column of numerators, so the leading 64 digits of every rotated seed
-come from a single gather, and polarization, interference and seed
-invariance read nothing but those cached windows.  The EPR correlation
-is an exact digit sum.
+state, because rotations act blockwise and a prefix decides every
+deletion whose suffix window it holds (``reduction._decided_keep``).
+Every rotation on these paths is read from the odometer
+(``phase._rotated_rows``) at the places it needs; no dense operator is
+built.  The trace rule reads the leading digit off one window of stage 1
+by the first-survivor lemma in one row-wise read, ``_stage1_leads``,
+for a chunk of samples at once: one gather per rotation gives the first
+3^(n_max-1) places of every rotated seed as the rows of a matrix.  The
+rare row those places leave undecided goes through the per-sample
+reader, the same read on one row, a growing seed prefix rotated by the
+constructor's own rotation stage.  Unit tests pin the batch to it and
+it to the constructor, ``qutrit_state``, whose ``_qutrit_reduce`` is the
+read's oracle.  Dyadic grid sweeps take a column of numerators, so the
+leading 64 digits of every rotated seed come from a single gather, and
+polarization, interference and seed invariance read nothing but those
+cached windows.  The EPR correlation is an exact digit sum.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
 from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, extend_to,
                     omega_root, operator_pow, phase_rotate)
 from .reduction import (THRESHOLD_BITS, BinaryThreshold, _angle_float, _angle_repr,
-                        _deletion_mask, _window_u64, weak_reduction_walk)
+                        _decided_keep, _window_u64, weak_reduction_walk)
 from .rng import derive_seed, make_rng
-from .states import (StateConfig, _qutrit_pipeline, _stage1_keep, default_config,
+from .states import (StateConfig, _qutrit_pipeline, default_config,
                      default_qutrit_config, qutrit_thresholds)
 
 __all__ = [
@@ -264,16 +266,43 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 _TRACE_ROWS = 32  # samples per batch: a 32 x 729 int64 matrix is 187 KB
 
 
+def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
+                  whole: bool) -> np.ndarray:
+    """Leading digit of the three-level state on each row of ``rot``, a
+    rotated prefix (the whole string when ``whole``), read off stage 1;
+    -1 where the row does not decide it.  The nonzero digits, sorted to
+    the front in order, go through the stage-1 deletion; the zeros stay.
+    By the first-survivor lemma the lead is the first stage-1 digit that
+    is zero if the stage-1 indicator's place-0 window is below t1, and
+    nonzero otherwise; unless whole, that window needs THRESHOLD_BITS
+    known stage-1 digits."""
+    S, W = rot.shape
+    cols = np.arange(W)
+    by_rank = np.argsort(rot == 0, axis=1, kind="stable")
+    c = np.count_nonzero(rot, axis=1)
+    ranked = np.take_along_axis(rot, by_rank, axis=1)
+    kept, decided = _decided_keep(ranked == 2, c, whole, t2)
+    kept |= cols >= c[:, None]
+    keep = np.empty_like(kept)
+    np.put_along_axis(keep, by_rank, kept, axis=1)
+    # a place is known once every nonzero digit up to it is decided
+    keep &= np.cumsum(rot != 0, axis=1) <= decided[:, None]
+    n1 = np.count_nonzero(keep, axis=1)
+    stage1 = np.take_along_axis(rot, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    valid = cols < n1[:, None]
+    hi = (stage1 != 0) & valid
+    wanted = (hi == t1.at_or_below(_window_u64(hi, 1))) & valid
+    lead = stage1[np.arange(S), wanted.argmax(axis=1)].astype(np.int64)
+    return np.where(((n1 >= THRESHOLD_BITS) | whole) & wanted.any(axis=1), lead, -1)
+
+
 def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                           q1: PAdicRational, q2: PAdicRational) -> int:
-    """Leading digit of the three-level state, read off stage 1.
-
-    By the first-survivor lemma it is the first stage-1 digit that is zero
-    if the stage-1 zero/nonzero indicator's place-0 window is below t1, and
-    nonzero otherwise.  Stage 1 decides a nonzero digit once THRESHOLD_BITS
-    more follow it in the rotated prefix or the whole seed is read; the
-    seed prefix grows 4x until the decided part holds THRESHOLD_BITS
-    digits and one of the wanted kind."""
+    """Leading digit of the three-level state, read off stage 1 by
+    ``_stage1_leads`` on growing seed prefixes run through the
+    constructor's own rotation stage.  The prefix grows 4x until it
+    decides the digit; raises DegenerateStatistic when the whole seed
+    does not."""
     s0 = cfg.seed_string
     prefix = 4096
     while True:
@@ -281,58 +310,14 @@ def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThres
         try:
             d = _qutrit_pipeline(s0 if whole else s0.prefix(prefix), q1, q2).digits
         except (EmptyResult, LengthNotDivisible):
-            # the prefix holds no nonzero digit or no whole block: grow it
-            d = np.zeros(0, dtype=np.uint8)
-        nz = np.flatnonzero(d)
-        end = d.size if whole else nz[-THRESHOLD_BITS] if nz.size >= THRESHOLD_BITS else 0
-        stage1 = d[:end][_stage1_keep(d, nz, t2)[:end]]
-        hi = stage1 != 0
-        found = np.flatnonzero(hi == t1.at_or_below(_window_u64(hi, 1))[0])
-        if found.size and (stage1.size >= THRESHOLD_BITS or whole):
-            return int(stage1[found[0]])
+            pass  # the prefix holds no nonzero digit or no whole block: grow it
+        else:
+            lead = _stage1_leads(d[None], t1, t2, whole)[0]
+            if lead >= 0:
+                return int(lead)
         if whole:
             raise DegenerateStatistic("three-level state collapsed to nothing")
         prefix *= 4
-
-
-def _leading_digit_rows(s0: np.ndarray, nz: np.ndarray, bits0: np.ndarray,
-                        t1: BinaryThreshold, t2: BinaryThreshold, depth1: int,
-                        depth2: int, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """``_qutrit_leading_digit`` of one chunk of samples, one row each,
-    from the first W places of every rotated seed; -1 where those places
-    do not decide it.
-
-    ``s0`` holds the W seed digits, ``nz`` their nonzero places and
-    ``bits0`` the bits (digit - 1) of the seed's nonzero digits, whole q2
-    blocks of them past ``nz``.  The rows go through the constructor's
-    stages as matrices: the q2 and q1 gathers, the stage-1 deletion over
-    each row's nonzero digits (sorted to the front, in order), and the
-    read of the first survivor off stage 1.
-    """
-    S, W = e1.size, s0.size
-    cols = np.arange(W)
-    pre = np.tile(s0, (S, 1))
-    pre[:, nz] = _rotated_rows(bits0, 2, depth2, e2[:, None], np.arange(nz.size)) + 1
-    rot = _rotated_rows(pre, 3, depth1, e1[:, None], cols)
-    by_rank = np.argsort(rot == 0, axis=1, kind="stable")
-    c = np.count_nonzero(rot, axis=1)
-    ranked = np.take_along_axis(rot, by_rank, axis=1)
-    # nonzero digit j is decided once its whole window, ranks j..j+63, is
-    # read; the zeros, ranks c and up, all stay
-    undecided = np.maximum(c - (THRESHOLD_BITS - 1), 0)
-    kept = (cols >= c[:, None]) | (cols < undecided[:, None]) & ~_deletion_mask(ranked == 2, t2)
-    # stage 1 is known up to the place of the first undecided nonzero digit
-    first = np.take_along_axis(by_rank, undecided[:, None], axis=1)[:, 0]
-    known = np.where(c > 0, first, W)
-    keep = np.empty_like(kept)
-    np.put_along_axis(keep, by_rank, kept & (by_rank < known[:, None]), axis=1)
-    n1 = np.count_nonzero(keep, axis=1)
-    stage1 = np.take_along_axis(rot, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    valid = cols < n1[:, None]
-    hi = (stage1 != 0) & valid
-    wanted = (hi == t1.at_or_below(_window_u64(hi, 1))) & valid
-    lead = stage1[np.arange(S), wanted.argmax(axis=1)].astype(np.int64)
-    return np.where((n1 >= THRESHOLD_BITS) & wanted.any(axis=1), lead, -1)
 
 
 def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
@@ -359,8 +344,11 @@ def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThre
     if bits0.size == need:
         for lo in range(0, e1s.size, _TRACE_ROWS):
             rows = slice(lo, lo + _TRACE_ROWS)
-            leads[rows] = _leading_digit_rows(d[:W], nz, bits0, t1, t2, grid1.depth,
-                                              grid2.depth, e1s[rows], e2s[rows])
+            pre = np.tile(d[:W], (e1s[rows].size, 1))
+            pre[:, nz] = 1 + _rotated_rows(bits0, 2, grid2.depth, e2s[rows, None],
+                                           np.arange(nz.size))
+            rot = _rotated_rows(pre, 3, grid1.depth, e1s[rows, None], np.arange(W))
+            leads[rows] = _stage1_leads(rot, t1, t2, False)
     for i in np.flatnonzero(leads < 0):
         leads[i] = _qutrit_leading_digit(cfg, t1, t2,
                                          PAdicRational(3, int(e1s[i]), grid1.depth),

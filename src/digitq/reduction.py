@@ -14,7 +14,9 @@ digits survive; at t = 0 only hi digits survive.
 Comparisons are exact for the finite string: ``BinaryThreshold.at_or_below``
 compares the suffix's 64-digit window, zero-padded, against the threshold,
 and since the threshold has no digits beyond the window the comparison is
-always decided within it.  The windows come from the string packed into
+always decided within it; so a prefix decides every place whose window
+it holds, the one rule (``_decided_keep``) by which the walk and the
+trace rule read prefixes.  The windows come from the string packed into
 big-endian 64-bit words: the 64 positions inside a word shift it and pull
 in the top bits of the next word, all in uint64 arithmetic.  Given a
 matrix, the kernel reads each row as its own string, so the grid sweeps'
@@ -277,6 +279,16 @@ def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     return hi_bits ^ _suffix_ge_mask(hi_bits, thr)
 
 
+def _decided_keep(hi: np.ndarray, n, whole: bool, thr: BinaryThreshold):
+    """Keep mask of the two-symbol reduction on each row of the hi
+    indicator ``hi``, whose first n places (an int, or one per row) hold
+    the row's digits, and the count of places it decides: all n of a
+    ``whole`` string, else the n - (THRESHOLD_BITS - 1) whose window is read.
+    """
+    keep = ~_deletion_mask(hi, thr)
+    return keep, n if whole else np.maximum(n - (THRESHOLD_BITS - 1), 0)
+
+
 # ---------------------------------------------------------------------------
 # projections and reductions
 
@@ -342,18 +354,17 @@ def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
     """First min(want, total) surviving digits of the 0/1 partial
     reduction of phase_rotate(r0, q), rotating only the prefix they need.
 
-    The deletion decision at a place reads the THRESHOLD_BITS digits from
-    there on, so a rotated prefix of n + THRESHOLD_BITS digits decides its
-    first n places.  n starts at 4096 and doubles until ``want`` survivors
-    are decided or the whole string is read, so near-pole states stay
-    cheap.
+    A rotated prefix of at least n + THRESHOLD_BITS digits decides at
+    least its first n + 1 places (``_decided_keep``).  n starts at 4096 and doubles until
+    ``want`` survivors are decided or the whole string is read, so
+    near-pole states stay cheap.
     """
     n = 4096
     while True:
         d = _rotated_prefix(r0.digits, q, n + THRESHOLD_BITS)
         whole = d.size < n + THRESHOLD_BITS
-        decided = d if whole else d[:n]
-        survivors = decided[~_deletion_mask(d == 1, thr)[:decided.size]]
+        keep, decided = _decided_keep(d == 1, d.size, whole, thr)
+        survivors = d[:decided][keep[:decided]]
         if survivors.size >= want or whole:
             break
         n *= 2

@@ -255,7 +255,7 @@ def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
     if nz_idx.size < K_GUARD:
         raise SuffixTooShort(
             f"{nz_idx.size} nonzero digits is below the {K_GUARD}-digit guard")
-    stage1 = d[_stage1_keep(d, nz_idx, t2)]
+    stage1 = np.delete(d, nz_idx[_deletion_mask(d[nz_idx] == 2, t2)])
     if stage1.size == 0:
         raise EmptyResult("stage-1 reduction removed every digit")
     if stage1.size < K_GUARD:
@@ -266,13 +266,6 @@ def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
     if final.size == 0:
         raise EmptyResult("stage-2 reduction removed every digit")
     return DigitString(3, final, _validate=False)
-
-
-def _stage1_keep(d: np.ndarray, nz: np.ndarray, t2: BinaryThreshold) -> np.ndarray:
-    """Stage-1 keep mask of the base-3 digits d with nonzero places nz."""
-    keep = np.ones(d.size, dtype=bool)
-    keep[nz[_deletion_mask(d[nz] == 2, t2)]] = False
-    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
 from digitq import experiments, reduction
-from digitq.errors import LengthNotDivisible, NonConvergence, OffGrid
+from digitq.errors import DegenerateStatistic, LengthNotDivisible, NonConvergence, OffGrid
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
                                 epr_experiment, index_partition,
@@ -381,6 +381,16 @@ class TestBatchedTraceRule:
             ang = QutritAngles(Fraction(1, 2), Fraction(1, 3), PAdicRational(3, int(e1), 7),
                                PAdicRational(2, int(e2), 12))
             assert lead == qutrit_state(qcfg, ang).leading_digit
+
+    @pytest.mark.parametrize("length", [3 ** 7, 3 ** 8])
+    def test_seed_without_a_nonzero_digit_is_degenerate(self, length):
+        # no stage 1 to read, within the first prefix or past it: an empty
+        # pipeline output must not read as a leading zero
+        qcfg = StateConfig(DigitString(3, np.zeros(length, dtype=np.uint8)), n_max=7,
+                           inner_dyadic_depth=12)
+        with pytest.raises(DegenerateStatistic):
+            trace_rule_experiment(Fraction(1, 2), Fraction(1, 3), SampleGrid(7, 3),
+                                  SampleGrid(12), cfg=qcfg, n_samples=4, seed=0)
 
     def test_chunk_size_does_not_change_the_counts(self, monkeypatch):
         kwargs = dict(theta1=Fraction(1, 2), theta2=Fraction(1, 3),

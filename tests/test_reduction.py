@@ -11,7 +11,8 @@ from digitq.digits import DigitString, champernowne, value
 from digitq.errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
 from digitq import reduction
 from digitq.phase import PAdicRational, apply, phase_rotate, rotation_operator
-from digitq.reduction import (BinaryThreshold, _reduced_prefix, _reduced_value,
+from digitq.reduction import (THRESHOLD_BITS, BinaryThreshold, _decided_keep,
+                              _deletion_mask, _reduced_prefix, _reduced_value,
                               _window_u64, biased_quantile_threshold,
                               partial_reduce, project, reduce_Rj,
                               reduce_compound, weak_reduction_walk)
@@ -38,6 +39,13 @@ def brute_partial_reduce(s, t_frac, lo=0, hi=1):
         if keep:
             out.append(digs[j])
     return out
+
+
+def random_threshold(rng):
+    """A threshold anywhere, or within 2^-56 of 0 or of 1."""
+    return BinaryThreshold(int(rng.choice([int(rng.integers(0, 1 << 62)) << 2,
+                                           int(rng.integers(0, 1 << 8)),
+                                           (1 << 64) - int(rng.integers(0, 1 << 8))])))
 
 
 _POW32_HI = 2.0 ** np.arange(31, -1, -1)
@@ -477,6 +485,41 @@ class TestEvolveODE:
                                 dt=dt, alpha=alpha, seed=0, max_steps=10)
 
 
+class TestDecidedKeep:
+    """A prefix decides the places whose whole THRESHOLD_BITS-digit window
+    it holds, and the whole string decides every place."""
+
+    def test_decided_places_agree_with_every_continuation(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(THRESHOLD_BITS, 400))
+            prefix = rng.random(n) < rng.uniform(0.05, 0.95)
+            thr = random_threshold(rng)
+            keep, decided = _decided_keep(prefix, n, False, thr)
+            assert decided == n - (THRESHOLD_BITS - 1)
+            for _ in range(2):
+                tail = rng.integers(0, 2, int(rng.integers(0, 200))).astype(bool)
+                full = np.concatenate([prefix, tail])
+                assert np.array_equal(keep[:decided], ~_deletion_mask(full, thr)[:decided])
+            assert _decided_keep(prefix, n, True, thr)[1] == n
+
+    def test_the_first_undecided_place_waits_for_the_next_digit(self):
+        # at t = 2^-64 a 0 is deleted iff a 1 lies in its window, so the
+        # fate of place n - 63 of n 0s turns on digit n
+        n = 100
+        keep, decided = _decided_keep(np.zeros(n, dtype=bool), n, False, BinaryThreshold(1))
+        for nxt, kept in ((False, True), (True, False)):
+            full = np.append(np.zeros(n, dtype=bool), nxt)
+            assert (~_deletion_mask(full, BinaryThreshold(1)))[decided] == kept
+        assert keep[:decided].all()
+
+    def test_row_form_counts_per_row(self):
+        rows = np.zeros((4, 200), dtype=bool)
+        n = np.array([0, 63, 64, 200])
+        assert _decided_keep(rows, n, False, BinaryThreshold(1))[1].tolist() == [0, 0, 1, 137]
+        assert _decided_keep(rows, n, True, BinaryThreshold(1))[1].tolist() == n.tolist()
+
+
 class TestReducedPrefix:
     """``_reduced_prefix`` rotates only the prefix it reads; the oracle
     rotates the whole string with the dense operator and reduces it."""
@@ -504,11 +547,7 @@ class TestReducedPrefix:
                                              dtype=np.uint8))
             depth = int(rng.integers(0, 13))
             q = PAdicRational(2, int(rng.integers(0, 1 << depth)), depth)
-            # thresholds anywhere, and within 2^-56 of 0 and of 1
-            t_int = int(rng.choice([int(rng.integers(0, 1 << 62)) << 2,
-                                    int(rng.integers(0, 1 << 8)),
-                                    (1 << 64) - int(rng.integers(0, 1 << 8))]))
-            self.check(r0, q, BinaryThreshold(t_int))
+            self.check(r0, q, random_threshold(rng))
 
     def test_prefix_doubles_when_survivors_are_sparse(self):
         # only the 0 of each 64-digit period survives t = 1 - 2^-64, so 96
