@@ -108,10 +108,6 @@ class DigitString:
         """Read-only numpy view of the digits."""
         return self._digits
 
-    @property
-    def length(self) -> int:
-        return self._digits.size
-
     def __len__(self) -> int:
         return self._digits.size
 

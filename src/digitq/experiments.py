@@ -47,11 +47,11 @@ import numpy as np
 
 from .digits import DigitString, champernowne, concatenated_squares, phi_shift
 from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
-                     NonConvergence, OffGrid)
+                     NonConvergence, OffGrid, SuffixTooShort)
 from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, extend_to,
                     omega_root, operator_pow, phase_rotate)
-from .reduction import (THRESHOLD_BITS, BinaryThreshold, _angle_float, _angle_repr,
-                        _decided_keep, _window_u64, weak_reduction_walk)
+from .reduction import (K_GUARD, THRESHOLD_BITS, BinaryThreshold, _angle_float,
+                        _angle_repr, _decided_keep, _window_u64, weak_reduction_walk)
 from .rng import derive_seed, make_rng
 from .states import (StateConfig, _qutrit_pipeline, default_config,
                      default_qutrit_config, qutrit_thresholds)
@@ -192,12 +192,12 @@ def _grid_leading_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     """uint64 leading 64-digit windows of the rotated seed for every
     numerator on the exhaustive base-2 grid of the given depth.
 
-    The numerators form a column, so one (2^depth x 64) ``_rotated_rows``
-    gather from the seed gives every window at once, also when the blocks
-    are shorter than 64 digits.
+    The numerators form a column, so one ``_rotated_rows`` gather of the
+    first min(64, L) places gives every window at once, zero-padded past
+    a short seed's end, also when the blocks are shorter than 64 digits.
     """
     bits = _rotated_rows(seed_string.digits, 2, depth, np.arange(1 << depth)[:, None],
-                         np.arange(64))
+                         np.arange(min(64, len(seed_string))))
     return _window_u64(bits, 1)[:, 0]
 
 
@@ -233,8 +233,12 @@ def _freq_below_half(cfg: StateConfig, theta, grid: SampleGrid) -> float:
 
     The first surviving digit of the reduced string is lo exactly when
     the rotated value is below the threshold, so the statistic reduces to
-    comparing leading 64-digit windows against the threshold.
+    comparing leading 64-digit windows against the threshold; seeds below
+    K_GUARD digits raise SuffixTooShort, as in the state constructor.
     """
+    if len(cfg.seed_string) < K_GUARD:
+        raise SuffixTooShort(f"{len(cfg.seed_string)} digits is below the "
+                             f"{K_GUARD}-digit comparison guard")
     thr = BinaryThreshold.from_angle(theta)
     windows = _cached_windows(cfg.seed_string, grid.depth)
     return float(np.mean(~thr.at_or_below(windows)))

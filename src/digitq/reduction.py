@@ -48,8 +48,8 @@ from typing import Optional, Union
 import mpmath as mp
 import numpy as np
 
-from .digits import (DeletionLog, DigitString, _compress, degree_of_normality,
-                     value_float)
+from .digits import (DeletionLog, DigitString, _compress, _digits_to_int,
+                     degree_of_normality)
 from .errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
 from .phase import PAdicRational, _rotated_prefix
 from .rng import make_rng
@@ -355,11 +355,11 @@ def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
     reduction of phase_rotate(r0, q), rotating only the prefix they need.
 
     A rotated prefix of at least n + THRESHOLD_BITS digits decides at
-    least its first n + 1 places (``_decided_keep``).  n starts at 4096 and doubles until
-    ``want`` survivors are decided or the whole string is read, so
-    near-pole states stay cheap.
+    least its first n + 1 places (``_decided_keep``).  n starts at want
+    and doubles until want survivors are decided or the whole string is
+    read, so want = len(r0) reads the whole string in one pass.
     """
-    n = 4096
+    n = want
     while True:
         d = _rotated_prefix(r0.digits, q, n + THRESHOLD_BITS)
         whole = d.size < n + THRESHOLD_BITS
@@ -374,9 +374,9 @@ def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
 
 
 def _reduced_value(r0: DigitString, q: PAdicRational, thr: BinaryThreshold) -> float:
-    """Float value of partial_reduce(phase_rotate(r0, q), thr) from its
-    first REDUCED_VALUE_DIGITS surviving digits.  Detects an exact value
-    of 1/2 and raises Tie, since the drift equation is stationary there."""
+    """Float value of partial_reduce(phase_rotate(r0, q), thr), the binary
+    fraction of its first REDUCED_VALUE_DIGITS survivors.  Detects an exact
+    value of 1/2 and raises Tie, since the drift equation is stationary there."""
     digs = _reduced_prefix(r0, q, thr, REDUCED_VALUE_DIGITS)
     # the value is exactly 1/2 only if a leading 1 is followed by no 1 in
     # the whole rotated string; a 1 among the first survivors rules that
@@ -384,7 +384,7 @@ def _reduced_value(r0: DigitString, q: PAdicRational, thr: BinaryThreshold) -> f
     if (digs[0] == 1 and not digs[1:].any()
             and not _reduced_prefix(r0, q, thr, len(r0))[1:].any()):
         raise Tie("reduced value is exactly 1/2")
-    return value_float(DigitString(2, digs, _validate=False), REDUCED_VALUE_DIGITS)
+    return _digits_to_int(digs, 2) / 2 ** digs.size
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,19 @@ class TestExperimentCommands:
         rc = main(["interference", "--depth", "8"])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["polarization", "--theta", "1/3pi", "--depth", "2", "--length", "16"],
+        ["interference", "--depth", "3", "--length", "32"],
+    ])
+    def test_grid_sweeps_on_seeds_shorter_than_the_window(self, argv, capsys):
+        assert main(argv) == 0
+
+    def test_polarization_below_the_guard_exits_2(self, capsys):
+        rc = main(["polarization", "--theta", "1/3pi", "--depth", "0", "--length", "4"])
+        assert rc == 2
+        assert ("error: 4 digits is below the 16-digit comparison guard"
+                in capsys.readouterr().err)
+
     def test_weak_reduction_small(self, capsys):
         rc = main(["weak-reduction", "--theta0", "1/2pi", "--walks", "120",
                    "--seed", "1"])

@@ -8,7 +8,8 @@ import pytest
 
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
 from digitq import experiments, reduction
-from digitq.errors import DegenerateStatistic, LengthNotDivisible, NonConvergence, OffGrid
+from digitq.errors import (DegenerateStatistic, LengthNotDivisible, NonConvergence,
+                           OffGrid, SuffixTooShort)
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
                                 epr_experiment, index_partition,
@@ -145,6 +146,30 @@ class TestPolarization:
                 s = qubit_state(cfg, BlochPoint(theta, q))
                 fast_lead0 = bool(windows[int(j)] < np.uint64(thr.t_int))
                 assert (s.leading_digit == 0) == fast_lead0
+
+    @pytest.mark.parametrize("depth,length", [(2, 16), (3, 32), (4, 64)])
+    def test_short_seed_matches_full_constructor(self, depth, length):
+        # a seed of at most 64 digits is read to its end, zero-padded
+        cfg = StateConfig(champernowne(2, length), n_max=depth)
+        grid = SampleGrid(depth=depth)
+        windows = _grid_leading_windows(cfg.seed_string, depth)
+        for j in range(grid.modulus):
+            rotated = phase_rotate(cfg.seed_string, PAdicRational(2, j, depth)).digits
+            padded = np.zeros(64, dtype=np.uint8)
+            padded[:min(64, length)] = rotated[:64]
+            assert windows[j] == int("".join(map(str, padded)), 2)
+        for theta in (Fraction(1, 6), Fraction(1, 3), Fraction(2, 3)):
+            leads = [qubit_state(cfg, BlochPoint(theta, PAdicRational(2, j, depth)))
+                     .leading_digit for j in range(grid.modulus)]
+            rep = polarization_experiment(theta, grid, cfg)
+            assert rep.statistics[0].observed == leads.count(0) / grid.modulus
+
+    def test_seed_below_the_guard_is_refused(self):
+        cfg = StateConfig(champernowne(2, 8), n_max=1)
+        with pytest.raises(SuffixTooShort):
+            qubit_state(cfg, BlochPoint(Fraction(1, 3), PAdicRational(2, 1, 1)))
+        with pytest.raises(SuffixTooShort, match="8 digits is below the 16-digit"):
+            polarization_experiment(Fraction(1, 3), SampleGrid(depth=1), cfg)
 
     def test_window_cache_compares_seeds_by_equality(self):
         from digitq.experiments import _cached_windows, _grid_leading_windows
@@ -424,16 +449,18 @@ class TestInterference:
             interference_experiment(SampleGrid(depth=7), default_qutrit_config())
 
     @staticmethod
-    def _per_sample_report(grid, cfg):
-        # oracle: every sample's 64-digit prefix through the interferometer
-        # maps of ``states`` and the compound reduction
+    def _per_sample_report(grid, cfg, states=None):
+        # oracle: every sample's state, by default its 64-digit prefix,
+        # through the interferometer maps of ``states`` and the compound
+        # reduction
         nums = np.arange(grid.modulus)
         n = nums.size
-        windows = _grid_leading_windows(cfg.seed_string, grid.depth)[nums]
-        prefixes = np.unpackbits(windows.astype(">u8").view(np.uint8)).reshape(n, 64)
+        if states is None:
+            windows = _grid_leading_windows(cfg.seed_string, grid.depth)[nums]
+            prefixes = np.unpackbits(windows.astype(">u8").view(np.uint8)).reshape(n, 64)
+            states = [DigitString(2, digits, _validate=False) for digits in prefixes]
         transmitted = reflected = complementary = blocked_lead = blocked_hi = full = 0
-        for digits in prefixes:
-            state = DigitString(2, digits, _validate=False)
+        for state in states:
             t_beam, r_beam = beamsplitter_pair(state)
             t_hit = reduce_compound(t_beam).attractor_index == 1
             r_hit = reduce_compound(r_beam).attractor_index == 1
@@ -469,6 +496,16 @@ class TestInterference:
             assert rep.to_csv() == self._per_sample_report(grid, cfg).to_csv()
             assert any(note.startswith("by construction") and "structural" in note
                        for note in rep.notes)
+
+    @pytest.mark.parametrize("depth,length", [(0, 4), (2, 16), (3, 32), (4, 64)])
+    def test_short_seed_matches_interferometer_maps(self, depth, length):
+        # the oracle rotates the whole seed, shorter than the 64-digit window
+        cfg = StateConfig(champernowne(2, length), n_max=depth)
+        grid = SampleGrid(depth=depth)
+        states = [phase_rotate(cfg.seed_string, PAdicRational(2, j, depth))
+                  for j in range(grid.modulus)]
+        rep = interference_experiment(grid, cfg)
+        assert rep.to_csv() == self._per_sample_report(grid, cfg, states).to_csv()
 
 
 # the seed strings the grid lemmas are checked on, built on demand

@@ -549,26 +549,67 @@ class TestReducedPrefix:
             q = PAdicRational(2, int(rng.integers(0, 1 << depth)), depth)
             self.check(r0, q, random_threshold(rng))
 
-    def test_prefix_doubles_when_survivors_are_sparse(self):
-        # only the 0 of each 64-digit period survives t = 1 - 2^-64, so 96
-        # survivors need 6144 digits, more than the first 4096 + 64
-        r0 = DigitString(2, ([1] * 63 + [0]) * 256)
-        thr = BinaryThreshold((1 << 64) - 1)
+    @staticmethod
+    def record_reads(monkeypatch):
+        """The digit counts ``_reduced_prefix`` asks ``_rotated_prefix`` for."""
+        reads = []
+        rotated_prefix = reduction._rotated_prefix
+
+        def recording(digits, q, n_digits):
+            reads.append(n_digits)
+            return rotated_prefix(digits, q, n_digits)
+
+        monkeypatch.setattr(reduction, "_rotated_prefix", recording)
+        return reads
+
+    @staticmethod
+    def ones_at(length, *places):
+        digits = np.zeros(length, dtype=np.uint8)
+        for p in places:
+            digits[p] = 1
+        return DigitString(2, digits)
+
+    def test_first_read_is_sized_by_the_request(self, monkeypatch):
+        # 96 + 64 digits, one 512-digit block at depth 10, hold the 96
+        # survivors of the default seed; the Tie check's request for every
+        # survivor reads the whole string at once
+        r0 = champernowne(2, 1 << 18)
+        q = PAdicRational(2, 341, 10)
+        thr = BinaryThreshold.from_angle(Fraction(1, 3))
+        reads = self.record_reads(monkeypatch)
+        assert _reduced_prefix(r0, q, thr, 96).size == 96
+        assert reads == [96 + THRESHOLD_BITS]
+        reads.clear()
+        _reduced_prefix(r0, q, thr, len(r0))
+        assert reads == [len(r0) + THRESHOLD_BITS]
+
+    def test_prefix_doubles_when_survivors_are_sparse(self, monkeypatch):
+        # at t = 2^-64 every 1 survives and a 0 only before 63 more 0s.
+        # One 1 in 32 places: the reads of 96 + 64 digits and its five
+        # doublings decide 2, 5, 11, 23, 47 and 95 survivors.  The last
+        # of them, 3136 digits, ends just before the 1 at 3136 that kills
+        # the 0s at 3073..3135, so the 96th survivor waits for a seventh
+        # read: that 1
+        r0 = self.ones_at(6400, 63, range(96, 3073, 32), range(3136, 6400, 64))
+        thr = BinaryThreshold(1)
+        reads = self.record_reads(monkeypatch)
         got = _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96)
-        assert got.size == 96 and not got.any()
+        assert got.size == 96 and got.all()
+        assert reads == [(96 << i) + THRESHOLD_BITS for i in range(7)]
         self.check(r0, PAdicRational(2, 0, 0), thr)
         self.check(r0, PAdicRational(2, 3, 5), thr)
 
-    def test_places_past_the_decided_prefix_wait_for_their_digits(self):
-        # at t = 2^-64 every 1 survives and a 0 only before 63 more 0s.
-        # The first 4096 places hold 94 survivors, place 4096 is a 1, and
-        # the 0s at 4097..4159 die by the 1 at 4160, which the first
-        # 4160-digit prefix does not reach: the 96th survivor is that 1
-        r0 = DigitString(2, ([0] * 63 + [1]) * 34 + ([0] * 31 + [1]) * 60
-                         + [1] + [0] * 63 + [1] + ([0] * 63 + [1]) * 30)
+    def test_places_past_the_decided_prefix_wait_for_their_digits(self, monkeypatch):
+        # at t = 2^-64 the first read, 160 digits, decides places 0..96:
+        # 95 survivors, the 1s at 2..96.  The 0s at 97..159 die by the 1
+        # at 160, which that read does not reach: the 96th survivor is
+        # that 1, from the second read
+        r0 = self.ones_at(320, range(2, 97), range(160, 320, 64))
         thr = BinaryThreshold(1)
+        reads = self.record_reads(monkeypatch)
         got = _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96)
-        assert got[94:].tolist() == [1, 1]
+        assert got.size == 96 and got.all()
+        assert reads == [160, 256]
         self.check(r0, PAdicRational(2, 0, 0), thr)
 
     def test_whole_string_read_when_survivors_run_out(self):
