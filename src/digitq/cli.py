@@ -155,7 +155,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("weak-reduction",
                        help="jittered-walk absorption vs cos^2(theta0/2)")
-    p.add_argument("--theta0", type=parse_angle, required=True)
+    p.add_argument("--theta0", required=True, type=_checked(
+        parse_angle, lambda v: 0 < v < 1, "strictly between 0 and pi"))
     p.add_argument("--walks", type=_COUNT, default=2000)
     p.add_argument("--jitter-depth", type=_DEPTH, default=10)
     p.add_argument("--alpha", type=_SCALE, default=4096.0)

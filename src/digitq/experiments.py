@@ -21,15 +21,17 @@ Every rotation on these paths is read from the odometer
 built.  The trace rule reads the leading digit off one window of stage 1
 by the first-survivor lemma in one row-wise read, ``_stage1_leads``,
 for a chunk of samples at once: one gather per rotation gives the first
-3^(n_max-1) places of every rotated seed as the rows of a matrix.  The
-rare row those places leave undecided goes through the per-sample
-reader, the same read on one row, a growing seed prefix rotated by the
-constructor's own rotation stage.  Unit tests pin the batch to it and
-it to the constructor, ``qutrit_state``, whose ``_qutrit_reduce`` is the
-read's oracle.  Dyadic grid sweeps take a column of numerators, so the
-leading 64 digits of every rotated seed come from a single gather, and
-polarization, interference and seed invariance read nothing but those
-cached windows.  The EPR correlation is an exact digit sum.
+3^(n_max-1) places of every rotated seed as the rows of a matrix; the
+read looks each verdict up by rank and gathers only the window's 64
+stage-1 digits.  The rare row those places leave undecided goes through
+the per-sample reader, the same read on one row of a growing slice of
+the seed's digits rotated by the constructor's own rotation stage.
+Unit tests pin the batch to it and it to the constructor,
+``qutrit_state``, whose ``_qutrit_reduce`` is the read's oracle.  Dyadic
+grid sweeps take a column of numerators, so the leading 64 digits of
+every rotated seed come from a single gather, and polarization,
+interference and seed invariance read nothing but those cached windows.
+The EPR correlation is an exact digit sum.
 """
 
 from __future__ import annotations
@@ -272,47 +274,43 @@ _TRACE_ROWS = 32  # samples per batch: a 32 x 729 int64 matrix is 187 KB
 
 def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
                   whole: bool) -> np.ndarray:
-    """Leading digit of the three-level state on each row of ``rot``, a
-    rotated prefix (the whole string when ``whole``), read off stage 1;
-    -1 where the row does not decide it.  The nonzero digits, sorted to
-    the front in order, go through the stage-1 deletion; the zeros stay.
-    By the first-survivor lemma the lead is the first stage-1 digit that
-    is zero if the stage-1 indicator's place-0 window is below t1, and
-    nonzero otherwise; unless whole, that window needs THRESHOLD_BITS
-    known stage-1 digits."""
-    S, W = rot.shape
-    cols = np.arange(W)
-    by_rank = np.argsort(rot == 0, axis=1, kind="stable")
-    c = np.count_nonzero(rot, axis=1)
-    ranked = np.take_along_axis(rot, by_rank, axis=1)
-    kept, decided = _decided_keep(ranked == 2, c, whole, t2)
-    kept |= cols >= c[:, None]
-    keep = np.empty_like(kept)
-    np.put_along_axis(keep, by_rank, kept, axis=1)
-    # a place is known once every nonzero digit up to it is decided
-    keep &= np.cumsum(rot != 0, axis=1) <= decided[:, None]
+    """Leading digit of the three-level state on each row of ``rot``, an
+    int array of rotated prefixes (whole strings when ``whole``), read
+    off stage 1; -1 where the row does not decide it.  ``rank``, the
+    running count of nonzero digits, counts them, looks each nonzero
+    place's verdict up in the stage-1 keep mask of the nonzero digits
+    sorted to the front (zeros stay), and marks a place known while its
+    rank is decided.  By the first-survivor lemma the lead is the first
+    known kept place that is zero if the stage-1 indicator's place-0
+    window, read from the first THRESHOLD_BITS kept places (all of them
+    unless whole), is below t1, and nonzero otherwise."""
+    nonzero = rot != 0
+    rank = np.cumsum(nonzero, axis=1)
+    ranked = np.take_along_axis(rot, np.argsort(~nonzero, axis=1, kind="stable"), axis=1)
+    kept, decided = _decided_keep(ranked == 2, rank[:, -1], whole, t2)
+    keep = np.take_along_axis(kept, np.maximum(rank - 1, 0), axis=1) | ~nonzero
+    keep &= rank <= decided[:, None]
     n1 = np.count_nonzero(keep, axis=1)
-    stage1 = np.take_along_axis(rot, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    valid = cols < n1[:, None]
-    hi = (stage1 != 0) & valid
-    wanted = (hi == t1.at_or_below(_window_u64(hi, 1))) & valid
-    lead = stage1[np.arange(S), wanted.argmax(axis=1)].astype(np.int64)
+    first = np.argsort(~keep, axis=1, kind="stable")[:, :THRESHOLD_BITS]
+    hi = np.take_along_axis(nonzero, first, axis=1) & (np.arange(first.shape[1]) < n1[:, None])
+    wanted = keep & (nonzero == t1.at_or_below(_window_u64(hi, 1)))
+    lead = rot[np.arange(rot.shape[0]), wanted.argmax(axis=1)].astype(np.int64)
     return np.where(((n1 >= THRESHOLD_BITS) | whole) & wanted.any(axis=1), lead, -1)
 
 
 def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                           q1: PAdicRational, q2: PAdicRational) -> int:
     """Leading digit of the three-level state, read off stage 1 by
-    ``_stage1_leads`` on growing seed prefixes run through the
-    constructor's own rotation stage.  The prefix grows 4x until it
+    ``_stage1_leads`` on growing slices of the seed's digits run through
+    the constructor's own rotation stage.  The prefix grows 4x until it
     decides the digit; raises DegenerateStatistic when the whole seed
     does not."""
-    s0 = cfg.seed_string
+    d0 = cfg.seed_string.digits
     prefix = 4096
     while True:
-        whole = prefix >= len(s0)
+        whole = prefix >= d0.size
         try:
-            d = _qutrit_pipeline(s0 if whole else s0.prefix(prefix), q1, q2).digits
+            d = _qutrit_pipeline(d0[:prefix], q1, q2)
         except (EmptyResult, LengthNotDivisible):
             pass  # the prefix holds no nonzero digit or no whole block: grow it
         else:

@@ -192,7 +192,7 @@ def qutrit_state(cfg: StateConfig, ang: QutritAngles) -> DigitString:
     q1 = _padic_turns(ang.lam1, 3, cfg.n_max)
     q2 = _padic_turns(ang.lam2, 2, cfg.dyadic_depth)
     t1, t2 = qutrit_thresholds(ang.theta1, ang.theta2)
-    return _qutrit_reduce(_qutrit_pipeline(s0, q1, q2), t1, t2)
+    return _qutrit_reduce(_qutrit_pipeline(s0.digits, q1, q2), t1, t2)
 
 
 def qutrit_thresholds(theta1: AngleLike,
@@ -222,33 +222,33 @@ def qutrit_thresholds(theta1: AngleLike,
     return t1, t2
 
 
-def _qutrit_pipeline(s0: DigitString, q1: PAdicRational,
-                     q2: PAdicRational) -> DigitString:
-    """The two rotations of the 3-level construction on an explicit seed:
-    the nonzero digits, as the bits digit - 1, rotate by q2 and go back as
+def _qutrit_pipeline(d: np.ndarray, q1: PAdicRational,
+                     q2: PAdicRational) -> np.ndarray:
+    """The two rotations of the 3-level construction on the base-3 digit
+    array of an explicit seed, returning the rotated digit array: the
+    nonzero digits, as the bits digit - 1, rotate by q2 and go back as
     bits + 1 to their places, then the string up to the last of them
     rotates by q1.  Blocks rotate independently, so a seed prefix yields a
     prefix of the result on the whole seed."""
-    d = s0.digits
     nz = np.flatnonzero(d)
     if nz.size == 0:
         raise EmptyResult("no nonzero digit to rotate")
     bits = _rotated_prefix(d[nz] - 1, q2, nz.size)
     out = d[:nz[bits.size - 1] + 1].copy()
     out[nz[:bits.size]] = bits + 1
-    return DigitString(3, _rotated_prefix(out, q1, out.size), _validate=False)
+    return _rotated_prefix(out, q1, out.size)
 
 
-def _qutrit_reduce(full: DigitString, t1: BinaryThreshold,
+def _qutrit_reduce(d: np.ndarray, t1: BinaryThreshold,
                    t2: BinaryThreshold) -> DigitString:
-    """Two-stage partial reduction of a base-3 string.
+    """Two-stage partial reduction of a base-3 digit array, returned as a
+    base-3 string.
 
     Stage 1 deletes among the nonzero digits by comparing suffixes of the
     {1,2} subsequence against t2 (1 plays lo, 2 plays hi).  Stage 2
     deletes over the surviving string by comparing suffixes of the
     zero/nonzero indicator against t1.
     """
-    d = full.digits
     nz_idx = np.flatnonzero(d != 0)
     if nz_idx.size == 0:
         raise EmptyResult("no nonzero digit to reduce")

@@ -101,6 +101,8 @@ class TestStateCommand:
         ["suite", "--samples", "0"],
         ["epr", "--dtheta", "1/2pi", "--seed", "-1"],
         ["weak-reduction", "--theta0", "1/2pi", "--walks", "4", "--seed", str(1 << 64)],
+        ["weak-reduction", "--walks", "4", "--theta0", "0"],
+        ["weak-reduction", "--walks", "4", "--theta0", "pi"],
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, capsys):
         # counts are at least 1, depths at least 0, alpha and dt positive,

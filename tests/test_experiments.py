@@ -8,8 +8,8 @@ import pytest
 
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
 from digitq import experiments, reduction
-from digitq.errors import (DegenerateStatistic, LengthNotDivisible, NonConvergence,
-                           OffGrid, SuffixTooShort)
+from digitq.errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
+                           NonConvergence, OffGrid, SuffixTooShort)
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
                                 epr_experiment, index_partition,
@@ -18,15 +18,15 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
                                 _grid_leading_windows, _qutrit_leading_digit,
-                                _qutrit_leading_digits)
+                                _qutrit_leading_digits, _stage1_leads)
 from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
-from digitq.reduction import reduce_compound
+from digitq.reduction import K_GUARD, reduce_compound
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
                            beamsplitter_pair, blocked_mz_output,
                            default_config, default_qutrit_config,
                            full_mz_output, qubit_state, qutrit_state,
-                           qutrit_thresholds)
+                           qutrit_thresholds, _qutrit_reduce)
 
 
 class TestSampleGrid:
@@ -425,6 +425,85 @@ class TestBatchedTraceRule:
         for rows in (1, 7, 40):
             monkeypatch.setattr(experiments, "_TRACE_ROWS", rows)
             assert trace_rule_experiment(**kwargs).to_json_dict()["statistics"] == want
+
+
+class TestStage1Read:
+    """The one stage-1 read, pinned straight to the constructor's
+    two-stage reduction on random base-3 rows."""
+
+    @staticmethod
+    def random_rows(rng, shape):
+        # dense rows, or rows where four digits in five are zeros
+        p = [1 / 3, 1 / 3, 1 / 3] if rng.integers(2) else [0.8, 0.1, 0.1]
+        return rng.choice(3, size=shape, p=p).astype(np.uint8)
+
+    @staticmethod
+    def oracle_lead(digits, t1, t2):
+        """The reduced string's leading digit, -1 when it is empty."""
+        try:
+            return _qutrit_reduce(digits, t1, t2).leading_digit
+        except EmptyResult:
+            return -1
+
+    @staticmethod
+    def spelled(t, n):
+        """The first n binary digits of the threshold t."""
+        return np.array([t.digit(j) for j in range(1, n + 1)], dtype=np.uint8)
+
+    def assert_leads(self, rows, t1, t2, rng):
+        """Whole rows lead as the oracle does (-1 exactly where it reduces
+        to nothing); a prefix's lead holds whatever digits follow it.
+        Returns the numbers of whole-row and continued checks."""
+        whole_checks = continued_checks = 0
+        for row, lead in zip(rows, _stage1_leads(rows, t1, t2, True)):
+            if np.count_nonzero(row) < K_GUARD:
+                continue
+            try:
+                want = self.oracle_lead(row, t1, t2)
+            except SuffixTooShort:
+                continue
+            assert lead == want
+            whole_checks += 1
+        for row, lead in zip(rows, _stage1_leads(rows, t1, t2, False)):
+            if lead < 0:
+                continue
+            for _ in range(2):
+                tail = self.random_rows(rng, rng.integers(1, 401))
+                assert self.oracle_lead(np.concatenate([row, tail]), t1, t2) == lead
+                continued_checks += 1
+        return whole_checks, continued_checks
+
+    def test_matches_the_two_stage_reduction(self):
+        rng = make_rng(18)
+        checks = np.zeros(2, dtype=int)
+        for _ in range(300):
+            rows = self.random_rows(rng, (rng.integers(1, 9), rng.integers(1, 401)))
+            t1, t2 = qutrit_thresholds(float(rng.uniform(0.05, 3.1)),
+                                       float(rng.uniform(0.05, 3.1)))
+            checks += self.assert_leads(rows, t1, t2, rng)
+        assert checks.min() > 500
+
+    def test_matches_at_the_window_edges(self):
+        # random rows almost never bring a window within one digit of its
+        # threshold, so these rows do: at t2 = 1/2 stage 1 keeps every
+        # digit and the rows open with t1's 64 digits, so the stage-2
+        # window's last digit decides the lead; at t1 = 0 every known kept
+        # nonzero digit is wanted, and 64 or more zeros precede t2's first
+        # 63 digits, the last nonzero digits of the row, so the first of
+        # them is one digit short of being decided
+        rng = make_rng(19)
+        checks = np.zeros(2, dtype=int)
+        for _ in range(100):
+            S = rng.integers(1, 9)
+            t1, t2 = qutrit_thresholds(float(rng.uniform(0.05, 3.1)), Fraction(1, 2))
+            head = self.spelled(t1, 64) * rng.integers(1, 3, size=(S, 64))
+            tail = self.random_rows(rng, (S, rng.integers(0, 337)))
+            checks += self.assert_leads(np.hstack([head, tail]), t1, t2, rng)
+            t1, t2 = qutrit_thresholds(Fraction(1), float(rng.uniform(0.05, 3.1)))
+            zeros = np.zeros((S, rng.integers(64, 338)), dtype=np.uint8)
+            last = np.tile(self.spelled(t2, 63) + 1, (S, 1))
+            checks += self.assert_leads(np.hstack([zeros, last]), t1, t2, rng)
+        assert checks.min() > 100
 
 
 class TestInterference:
