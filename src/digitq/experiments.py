@@ -31,7 +31,13 @@ Unit tests pin the batch to it and it to the constructor,
 grid sweeps take a column of numerators, so the leading 64 digits of
 every rotated seed come from a single gather, and polarization,
 interference and seed invariance read nothing but those cached windows.
-The EPR correlation is an exact digit sum.
+The EPR correlation is an exact digit sum.  Weak reduction reads every
+walk's first step at once: step 1 depends only on theta0 and the start
+longitude, so one row-wise read per chunk of distinct start numerators
+(``reduction._reduced_values``) gives each r, and a walk whose first
+Euler step lands in a pole ends there.  Only the walks that step 1 does
+not absorb, and the rare row the read defers, run the per-walk
+integrator ``weak_reduction_walk``, which stays the batch's oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, cos, log2, sin, sqrt
+from math import ceil, cos, isnan, log2, sin, sqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -53,7 +59,8 @@ from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
 from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, extend_to,
                     omega_root, operator_pow, phase_rotate)
 from .reduction import (K_GUARD, THRESHOLD_BITS, BinaryThreshold, _angle_float,
-                        _angle_repr, _decided_keep, _window_u64, weak_reduction_walk)
+                        _angle_repr, _check_drift, _decided_keep, _euler_step,
+                        _reduced_values, _window_u64, weak_reduction_walk)
 from .rng import derive_seed, make_rng
 from .states import (StateConfig, _qutrit_pipeline, default_config,
                      default_qutrit_config, qutrit_thresholds)
@@ -577,21 +584,38 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     frequency is close to the frequency of r < 1/2 over the drawn
     longitudes.  With small steps the drift term dominates the jitter
     noise and every walk saturates into its nearer pole instead.
+
+    Step 1 is read for the whole ensemble: ``_reduced_values`` once per
+    distinct start numerator, then the walk's own Euler step and pole
+    test (``_euler_step``).  A walk that step 1 absorbs counts one step
+    and builds no WalkResult; every other walk, and every walk whose row
+    the read defers, runs ``weak_reduction_walk`` from its start, so the
+    counts are those of the per-walk loop.  theta0, alpha and dt are
+    checked before any read, and max_steps < 1 absorbs nothing.
     """
     if ensemble_size < 1:
         raise ValueError("weak reduction needs at least one walk")
+    th0 = _angle_float(theta0)
+    _check_drift(th0, alpha, dt)
     cfg = cfg or default_config()
     _check_grid(SampleGrid(depth=jitter_depth), 2, cfg.n_max)
     t0 = time.perf_counter()
-    th0 = _angle_float(theta0)
-    north = 0
-    finished = 0
     stuck = 0
-    steps_total = 0
     depth = jitter_depth or cfg.n_max
     lam_rng = make_rng(derive_seed(seed, 1 << 62))
     lam0s = lam_rng.integers(0, 1 << depth, size=ensemble_size)
-    for i in range(ensemble_size):
+    # step 1 depends on the start longitude alone: read it once per
+    # distinct numerator, and let a walk that step 1 absorbs end there
+    poles = np.full(ensemble_size, -1)
+    if max_steps >= 1:
+        nums, inverse = np.unique(lam0s, return_inverse=True)
+        rs = _reduced_values(cfg.seed_string, depth, nums, BinaryThreshold.from_angle(th0))
+        step1 = [None if isnan(r) else _euler_step(th0, r, alpha, dt)[1] for r in rs.tolist()]
+        poles = np.array([-1 if j is None else j for j in step1])[inverse]
+    finished = int(np.count_nonzero(poles >= 0))
+    steps_total = finished
+    north = int(np.count_nonzero(poles == 0))
+    for i in np.flatnonzero(poles < 0).tolist():
         lam0 = PAdicRational(2, int(lam0s[i]), depth)
         try:
             res = weak_reduction_walk(th0, lam0, cfg.seed_string, jitter_depth,

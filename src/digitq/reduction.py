@@ -51,7 +51,7 @@ import numpy as np
 from .digits import (DeletionLog, DigitString, _compress, _digits_to_int,
                      degree_of_normality)
 from .errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
-from .phase import PAdicRational, _rotated_prefix
+from .phase import PAdicRational, _rotated_prefix, _rotated_rows
 from .rng import make_rng
 
 __all__ = [
@@ -387,6 +387,46 @@ def _reduced_value(r0: DigitString, q: PAdicRational, thr: BinaryThreshold) -> f
     return _digits_to_int(digs, 2) / 2 ** digs.size
 
 
+_VALUE_ROWS = 32  # numerators per batch, each row 448 places of uint8 digits
+
+
+def _reduced_values(r0: DigitString, depth: int, nums: np.ndarray,
+                    thr: BinaryThreshold) -> np.ndarray:
+    """``_reduced_value`` at q = nums[i]/2^depth for each numerator,
+    _VALUE_ROWS rows at a time, NaN where the row defers to it.
+
+    One gather reads the first L = 4 * REDUCED_VALUE_DIGITS + THRESHOLD_BITS
+    places of every rotated seed (the whole string when shorter), which
+    decide at least 4 * REDUCED_VALUE_DIGITS + 1 places (``_decided_keep``).
+    On a balanced string at least half the places survive on average (every
+    lo digit when t >= 1/2, every hi digit when t <= 1/2), so the rare row
+    keeps fewer than REDUCED_VALUE_DIGITS survivors; it defers, and so does
+    a row whose survivors read a 1 and then only 0s, the one pattern whose
+    Tie check reads the whole string.  The other rows take the same int/int
+    division as ``_reduced_value``, so r is bit-identical.
+    """
+    block = 2 ** max(depth - 1, 0)
+    # the rotated string is its whole blocks; a shorter tail leaves no row whole
+    L = min(4 * REDUCED_VALUE_DIGITS + THRESHOLD_BITS, len(r0) - len(r0) % block)
+    whole = L == len(r0)
+    values = np.full(nums.size, np.nan)
+    if L < REDUCED_VALUE_DIGITS:
+        return values
+    for lo in range(0, nums.size, _VALUE_ROWS):
+        rows = slice(lo, lo + _VALUE_ROWS)
+        d = _rotated_rows(r0.digits, 2, depth, nums[rows, None], np.arange(L))
+        keep, decided = _decided_keep(d == 1, L, whole, thr)
+        keep = keep[:, :decided]
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :REDUCED_VALUE_DIGITS]
+        digs = np.take_along_axis(d, first, axis=1)
+        tie = (digs[:, 0] == 1) & ~digs[:, 1:].any(axis=1)
+        ok = (np.count_nonzero(keep, axis=1) >= REDUCED_VALUE_DIGITS) & ~tie
+        packed = np.packbits(digs, axis=1)
+        values[rows] = [int.from_bytes(row.tobytes(), "big") / 2 ** REDUCED_VALUE_DIGITS
+                        if good else np.nan for row, good in zip(packed, ok)]
+    return values
+
+
 # ---------------------------------------------------------------------------
 # drift dynamics
 
@@ -414,6 +454,25 @@ def trajectory_csv(result: WalkResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_drift(theta0, alpha, dt) -> None:
+    """The drift's domain: theta0 strictly between the poles (a float in
+    radians), and a positive scale and step."""
+    if not (0.0 < theta0 < np.pi):
+        raise ValueError("theta0 must lie strictly between 0 and pi")
+    if not (alpha > 0 and dt > 0):
+        raise ValueError("alpha and dt must be positive")
+
+
+def _euler_step(theta: float, r: float, alpha: float, dt: float):
+    """One Euler step of dtheta/dt = alpha (r - 1/2) sin(theta), clamped
+    onto [0, pi], and the attractor digit when it ends within TOL_POLE of
+    a pole (0 north, 1 south), else None."""
+    theta = min(max(theta + alpha * (r - 0.5) * sin(theta) * dt, 0.0), float(np.pi))
+    if theta < TOL_POLE or theta > np.pi - TOL_POLE:
+        return theta, 0 if theta <= np.pi / 2 else 1
+    return theta, None
+
+
 def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
                         jitter_depth: int, dt: float, alpha: float, seed: int,
                         max_steps: int = 4096) -> WalkResult:
@@ -430,10 +489,7 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
     walk ends within TOL_POLE of one, on a row whose r is None, and raises
     NonConvergence at the step budget.  Same seed, same trajectory.
     """
-    if not (0.0 < theta0 < np.pi):
-        raise ValueError("theta0 must lie strictly between 0 and pi")
-    if not (alpha > 0 and dt > 0):
-        raise ValueError("alpha and dt must be positive")
+    _check_drift(theta0, alpha, dt)
     if jitter_depth < 0:
         raise ValueError("jitter_depth must be non-negative")
     rng = None  # made at the first jitter draw: most walks absorb before one
@@ -445,10 +501,9 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
         q = PAdicRational(2, num, fine)
         r = _reduced_value(r0, q, BinaryThreshold.from_angle(theta))
         traj.append((theta, r, q.numerator, q.depth))
-        theta = min(max(theta + alpha * (r - 0.5) * sin(theta) * dt, 0.0), float(np.pi))
-        if theta < TOL_POLE or theta > np.pi - TOL_POLE:
+        theta, j = _euler_step(theta, r, alpha, dt)
+        if j is not None:
             traj.append((theta, None, q.numerator, q.depth))
-            j = 0 if theta <= np.pi / 2 else 1
             return WalkResult(traj, ReductionOutcome(
                 DigitString.constant(2, j, len(r0)), j, step))
         if jitter_depth > 0:

@@ -9,7 +9,7 @@ import pytest
 from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
 from digitq import experiments, reduction
 from digitq.errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
-                           NonConvergence, OffGrid, SuffixTooShort)
+                           NonConvergence, OffGrid, SuffixTooShort, Tie)
 from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 binomial_tolerance, epr_correlation,
                                 epr_experiment, index_partition,
@@ -20,7 +20,9 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 _grid_leading_windows, _qutrit_leading_digit,
                                 _qutrit_leading_digits, _stage1_leads)
 from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
-from digitq.reduction import K_GUARD, reduce_compound
+from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _euler_step,
+                              _reduced_value, _reduced_values, reduce_compound,
+                              weak_reduction_walk)
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
                            beamsplitter_pair, blocked_mz_output,
@@ -666,6 +668,12 @@ class TestHotPathsBuildNoOperator:
         assert [p.pair_index for p in pairs] == list(range(1, 65))
 
 
+def _walk_starts(n: int, depth: int, seed: int) -> np.ndarray:
+    """Start numerators of an n-walk weak-reduction ensemble on the
+    depth grid, drawn as the experiment draws them."""
+    return make_rng(derive_seed(seed, 1 << 62)).integers(0, 1 << depth, size=n)
+
+
 class TestWeakReduction:
     def test_balanced_start(self):
         rep = weak_reduction_experiment(Fraction(1, 2), ensemble_size=300, seed=9)
@@ -689,58 +697,321 @@ class TestWeakReduction:
             weak_reduction_experiment(Fraction(1, 3), ensemble_size=0)
 
     @staticmethod
-    def _record_steps(monkeypatch):
-        steps = []
-        walk = experiments.weak_reduction_walk
+    def _refuse_reads(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read before the arguments were checked")
 
-        def record(*args):
-            res = walk(*args)
-            steps.append(res.outcome.steps)
+        monkeypatch.setattr(experiments, "_reduced_values", refuse)
+        monkeypatch.setattr(experiments, "weak_reduction_walk", refuse)
+
+    @pytest.mark.parametrize("walks", [1, 50])
+    @pytest.mark.parametrize("theta0", [Fraction(0), Fraction(1), Fraction(4, 3),
+                                        0.0, math.pi, -0.5, 4.0, math.nan])
+    def test_theta0_off_the_open_interval_is_refused(self, monkeypatch, walks, theta0):
+        self._refuse_reads(monkeypatch)
+        with pytest.raises(ValueError, match="theta0 must lie strictly between 0 and pi"):
+            weak_reduction_experiment(theta0, ensemble_size=walks)
+
+    @pytest.mark.parametrize("walks", [1, 50])
+    @pytest.mark.parametrize("alpha, dt", [(0.0, 1.0), (-1.0, 1.0), (4096.0, 0.0),
+                                           (4096.0, -1.0), (math.nan, 1.0)])
+    def test_nonpositive_scale_or_step_is_refused(self, monkeypatch, walks, alpha, dt):
+        self._refuse_reads(monkeypatch)
+        with pytest.raises(ValueError, match="alpha and dt must be positive"):
+            weak_reduction_experiment(Fraction(1, 3), ensemble_size=walks, alpha=alpha,
+                                      dt=dt)
+
+    @pytest.mark.parametrize("walks", [1, 50])
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_no_step_budget_leaves_every_walk_unconverged(self, walks, max_steps):
+        rep = weak_reduction_experiment(Fraction(1, 3), ensemble_size=walks,
+                                        max_steps=max_steps)
+        north, stuck = rep.statistics
+        assert math.isnan(north.observed)
+        assert stuck.observed == 1.0
+        assert rep.notes == ["mean steps to absorb: nan"]
+        assert rep.to_csv() == _reference_report(Fraction(1, 3), walks,
+                                                 max_steps=max_steps).to_csv()
+
+    @staticmethod
+    def _record_loop(monkeypatch, walk=None):
+        """(lam0, steps) of every walk the experiment's loop runs; steps is
+        None for a walk that raised NonConvergence."""
+        walks = []
+        walk = walk or experiments.weak_reduction_walk
+
+        def record(theta0, lam0, *args):
+            try:
+                res = walk(theta0, lam0, *args)
+            except NonConvergence:
+                walks.append((lam0, None))
+                raise
+            walks.append((lam0, res.outcome.steps))
             return res
 
         monkeypatch.setattr(experiments, "weak_reduction_walk", record)
-        return steps
+        return walks
+
+    @staticmethod
+    def _record_batch(monkeypatch):
+        """(depth, numerators, values) of every batched step-1 read."""
+        reads = []
+        values = experiments._reduced_values
+
+        def record(r0, depth, nums, thr):
+            rs = values(r0, depth, nums, thr)
+            reads.append((depth, nums, rs))
+            return rs
+
+        monkeypatch.setattr(experiments, "_reduced_values", record)
+        return reads
+
+    @staticmethod
+    def _batch_absorbed(reads, theta0, starts, alpha, dt=1.0) -> int:
+        """Walks whose start the batch read and whose step 1 lands in a
+        pole, counted from the read's own values."""
+        (_, nums, rs), = reads
+        value = dict(zip(nums.tolist(), rs.tolist()))
+        th0 = _angle_float(theta0)
+        return sum(not math.isnan(value[m])
+                   and _euler_step(th0, value[m], alpha, dt)[1] is not None
+                   for m in starts.tolist())
 
     @pytest.mark.parametrize("alpha", [4096.0, 16.0])
     def test_jitter_stream_is_made_only_for_a_second_step(self, monkeypatch, alpha):
         # a walk that absorbs in step 1 never draws from its jitter stream;
-        # at alpha 16 three of the 20 walks take a second step
-        steps = self._record_steps(monkeypatch)
+        # at alpha 16 three of the 20 walks take a second step.  Every walk
+        # runs directly on the experiment's own starts, since the
+        # experiment's batch ends the step-1 walks without a walk call
         made = []
         monkeypatch.setattr(reduction, "make_rng",
                             lambda seed: made.append(seed) or make_rng(seed))
-        weak_reduction_experiment(Fraction(1, 2), ensemble_size=20, alpha=alpha, seed=0)
+        starts = _walk_starts(20, 10, 0)
+        steps = [weak_reduction_walk(math.pi / 2, PAdicRational(2, int(m), 10),
+                                     default_config().seed_string, 10, 1.0, alpha,
+                                     derive_seed(0, i)).outcome.steps
+                 for i, m in enumerate(starts)]
         assert len(steps) == 20
         assert len(made) == sum(n > 1 for n in steps)
+        made.clear()
+        walks = self._record_loop(monkeypatch)
+        reads = self._record_batch(monkeypatch)
+        weak_reduction_experiment(Fraction(1, 2), ensemble_size=20, alpha=alpha, seed=0)
+        assert len(walks) + self._batch_absorbed(reads, Fraction(1, 2), starts, alpha) == 20
+        assert sorted(n for _, n in walks) == sorted(n for n in steps if n > 1)
+        assert len(made) == sum(n > 1 for _, n in walks)
 
     @pytest.mark.parametrize("alpha", [4096.0, 16.0])
     def test_threshold_is_built_once_per_angle(self, monkeypatch, alpha):
-        # every walk's step 1 is at theta0, so only later steps can miss
-        steps = self._record_steps(monkeypatch)
+        # every walk's step 1 is at theta0, so only later steps can miss;
+        # the batch reads every walk's step 1 and the loop runs the rest
+        walks = self._record_loop(monkeypatch)
+        reads = self._record_batch(monkeypatch)
         misses = []
         cos2 = reduction._cos2_half
         monkeypatch.setattr(reduction, "_cos2_half",
                             lambda theta: misses.append(theta) or cos2(theta))
         reduction._threshold_int.cache_clear()
         weak_reduction_experiment(Fraction(1, 3), ensemble_size=200, alpha=alpha, seed=0)
+        absorbed = self._batch_absorbed(reads, Fraction(1, 3), _walk_starts(200, 10, 0),
+                                        alpha)
+        steps = [n for _, n in walks] + [1] * absorbed
         assert len(steps) == 200
         assert 1 <= len(misses) <= 1 + sum(steps) - len(steps)
 
     def test_jitter_free_walks_start_on_the_config_grid(self, monkeypatch):
         # without jitter the start longitude is a walk's only randomness;
-        # the walks themselves are not run, since a jitter-free walk can
-        # take thousands of steps
-        starts = []
-
-        def record(theta0, lam0, *args):
-            starts.append(lam0)
+        # the batch reads every distinct start, and the walks it does not
+        # absorb are not run, since a jitter-free walk can take thousands
+        # of steps
+        def stub(theta0, lam0, *args):
             raise NonConvergence("not run")
 
-        monkeypatch.setattr(experiments, "weak_reduction_walk", record)
+        walks = self._record_loop(monkeypatch, stub)
+        reads = self._record_batch(monkeypatch)
         weak_reduction_experiment(Fraction(1, 3), ensemble_size=64, jitter_depth=0)
-        assert len(starts) == 64
-        assert max(q.depth for q in starts) == default_config().n_max
+        n_max = default_config().n_max
+        (depth, nums, _), = reads
+        starts = [PAdicRational(2, int(m), depth) for m in nums] + [q for q, _ in walks]
+        absorbed = self._batch_absorbed(reads, Fraction(1, 3), _walk_starts(64, n_max, 0),
+                                        4096.0)
+        assert len(walks) + absorbed == 64
+        assert depth == n_max
+        assert max(q.depth for q in starts) == n_max
+        assert {q.numerator for q, _ in walks} <= {q.numerator for q in starts}
         assert len({q.numerator for q in starts}) > 32
+
+
+def _reference_report(theta0, ensemble_size: int, jitter_depth: int = 10,
+                      alpha: float = 4096.0, dt: float = 1.0, max_steps: int = 4096,
+                      cfg=None, seed: int = 0) -> ExperimentReport:
+    """``weak_reduction_experiment`` as a plain per-walk loop: every walk
+    runs ``weak_reduction_walk`` from its start, with no batched step 1."""
+    cfg = cfg or default_config()
+    th0 = _angle_float(theta0)
+    depth = jitter_depth or cfg.n_max
+    north = finished = stuck = steps_total = 0
+    for i, m in enumerate(_walk_starts(ensemble_size, depth, seed).tolist()):
+        try:
+            res = weak_reduction_walk(th0, PAdicRational(2, m, depth), cfg.seed_string,
+                                      jitter_depth, dt, alpha, derive_seed(seed, i),
+                                      max_steps)
+        except NonConvergence:
+            stuck += 1
+            continue
+        finished += 1
+        steps_total += res.outcome.steps
+        north += res.outcome.attractor_index == 0
+    p = math.cos(th0 / 2) ** 2
+    stats = [Statistic("freq[north absorption]",
+                       north / finished if finished else float("nan"), p,
+                       binomial_tolerance(p, max(finished, 1))),
+             Statistic("freq[non-convergence]", stuck / ensemble_size, 0.0, 0.01)]
+    mean = steps_total / finished if finished else float("nan")
+    return ExperimentReport("weak_reduction", {}, ensemble_size, stats, seed,
+                            notes=[f"mean steps to absorb: {mean:.2f}"])
+
+
+def _assert_matches_reference(theta0, ensemble_size, **kw):
+    rep = weak_reduction_experiment(theta0, ensemble_size=ensemble_size, **kw)
+    ref = _reference_report(theta0, ensemble_size, **kw)
+    assert rep.to_csv() == ref.to_csv()
+    assert rep.notes == ref.notes
+
+
+def _biased_seed(n: int, p_one: float, seed: int) -> DigitString:
+    return DigitString(2, (make_rng(seed).random(n) < p_one).astype(np.uint8))
+
+
+class TestBatchedStep1:
+    """The experiment's batched step 1 (``_reduced_values`` and
+    ``_euler_step`` once per distinct start) against the per-walk loop."""
+
+    @pytest.mark.parametrize("alpha", [4096.0, 16.0])
+    @pytest.mark.parametrize("jitter_depth", [0, 4, 10])
+    @pytest.mark.parametrize("theta0", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 7),
+                                        1.1, 0.4])
+    def test_step1_matches_the_walk(self, theta0, jitter_depth, alpha):
+        cfg = default_config()
+        r0 = cfg.seed_string
+        depth = jitter_depth or cfg.n_max
+        th0 = _angle_float(theta0)
+        thr = BinaryThreshold.from_angle(th0)
+        nums = np.unique(_walk_starts(120, depth, 3))
+        rs = _reduced_values(r0, depth, nums, thr)
+        assert not np.isnan(rs).any()
+        for m, r in zip(nums.tolist(), rs.tolist()):
+            lam0 = PAdicRational(2, m, depth)
+            q = PAdicRational(2, lam0.numerator << (max(jitter_depth, lam0.depth)
+                                                    - lam0.depth),
+                              max(jitter_depth, lam0.depth))
+            assert r.hex() == _reduced_value(r0, q, thr).hex()
+            pole = _euler_step(th0, r, alpha, 1.0)[1]
+            try:
+                res = weak_reduction_walk(th0, lam0, r0, jitter_depth, 1.0, alpha, 0, 1)
+            except NonConvergence:
+                assert pole is None
+            else:
+                assert res.outcome.steps == 1
+                assert pole == res.outcome.attractor_index
+                assert res.trajectory[0][1].hex() == r.hex()
+
+    @pytest.mark.parametrize("theta0, jitter_depth, alpha, max_steps, seed", [
+        (Fraction(1, 3), 10, 4096.0, 4096, 0),
+        (Fraction(2, 3), 4, 16.0, 4096, 1),
+        (1.1, 10, 16.0, 4096, 2927076875),
+        (Fraction(1, 3), 0, 4096.0, 30, 0),
+        (Fraction(5, 6), 0, 64.0, 30, 5),
+    ])
+    def test_report_matches_the_per_walk_loop(self, theta0, jitter_depth, alpha,
+                                              max_steps, seed):
+        _assert_matches_reference(theta0, 300, jitter_depth=jitter_depth, alpha=alpha,
+                                  max_steps=max_steps, seed=seed)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_chunk_size_does_not_change_the_read(self, monkeypatch, rows):
+        r0 = default_config().seed_string
+        thr = BinaryThreshold.from_angle(_angle_float(Fraction(2, 3)))
+        nums = np.unique(_walk_starts(200, 10, 0))
+        expected = _reduced_values(r0, 10, nums, thr)
+        monkeypatch.setattr(reduction, "_VALUE_ROWS", rows or nums.size)
+        assert np.array_equal(_reduced_values(r0, 10, nums, thr), expected)
+        _assert_matches_reference(Fraction(2, 3), 200, alpha=16.0)
+
+    @staticmethod
+    def _tie_config(tail: np.ndarray) -> StateConfig:
+        # the float pi/2 puts t just above 1/2: the leading 1 survives on the
+        # 1 fifty places on, which is deleted, and every 0 survives, so the
+        # unrotated row's survivors read a 1 and then at least 150 zeros
+        digits = np.concatenate([[1], np.zeros(49, dtype=np.uint8), [1],
+                                 np.zeros(150, dtype=np.uint8), tail])
+        return StateConfig(DigitString(2, digits), n_max=2)
+
+    def test_tie_pattern_defers_and_agrees(self):
+        # a 1 surviving in the random tail makes the value exactly 1/2, no Tie
+        cfg = self._tie_config(_biased_seed(311, 0.5, 4).digits)
+        thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 2)))
+        rs = _reduced_values(cfg.seed_string, 2, np.arange(4), thr)
+        assert math.isnan(rs[0]) and not np.isnan(rs[1:]).any()
+        _assert_matches_reference(Fraction(1, 2), 40, jitter_depth=2, max_steps=40,
+                                  cfg=cfg)
+
+    def test_tie_defers_and_raises_as_the_walk_does(self):
+        cfg = self._tie_config(np.zeros(311, dtype=np.uint8))
+        with pytest.raises(Tie):
+            _reference_report(Fraction(1, 2), 40, jitter_depth=2, cfg=cfg)
+        with pytest.raises(Tie):
+            weak_reduction_experiment(Fraction(1, 2), 40, jitter_depth=2, cfg=cfg)
+
+    def test_tie_within_the_pole_band_raises_as_the_walk_does(self):
+        # theta0 = 1e-7 lies within TOL_POLE of 0, so any r that is not a
+        # Tie ends the walk in step 1; t = 1 - 2.5e-15 keeps only the first
+        # of 49 leading 1s, and nothing follows it but 0s
+        cfg = StateConfig(DigitString(2, [1] * 49 + [0] * 463), n_max=2)
+        thr = BinaryThreshold.from_angle(1e-7)
+        assert math.isnan(_reduced_values(cfg.seed_string, 2, np.arange(1), thr)[0])
+        with pytest.raises(Tie):
+            _reference_report(1e-7, 40, jitter_depth=2, cfg=cfg)
+        with pytest.raises(Tie):
+            weak_reduction_experiment(1e-7, 40, jitter_depth=2, cfg=cfg)
+
+    def test_rows_short_of_survivors_near_a_pole_defer_and_agree(self):
+        # near theta = 0 only lo digits and hi digits before a long run of
+        # 1s survive, and the unrotated seed, nine-tenths 1s, has too few
+        cfg = StateConfig(_biased_seed(4096, 0.9, 7), n_max=4)
+        thr = BinaryThreshold.from_angle(1e-3)
+        rs = _reduced_values(cfg.seed_string, 4, np.arange(16), thr)
+        assert math.isnan(rs[0])
+        _assert_matches_reference(1e-3, 100, jitter_depth=4, max_steps=200, cfg=cfg)
+
+    @pytest.mark.parametrize("length", [64, 256, 448, 512])
+    @pytest.mark.parametrize("jitter_depth", [0, 1, 2])
+    def test_short_seed_reads_whole_rows(self, length, jitter_depth):
+        # a seed shorter than the batch's read is read whole, and one
+        # shorter than 96 digits has too few survivors: every row defers
+        cfg = StateConfig(champernowne(2, length), n_max=2)
+        depth = jitter_depth or 2
+        thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 3)))
+        rs = _reduced_values(cfg.seed_string, depth, np.arange(1 << depth), thr)
+        if length < 96:
+            assert np.isnan(rs).all()
+        else:
+            assert not np.isnan(rs).all()
+        for m, r in enumerate(rs.tolist()):
+            if not math.isnan(r):
+                assert r == _reduced_value(cfg.seed_string,
+                                           PAdicRational(2, m, depth), thr)
+        _assert_matches_reference(Fraction(1, 3), 50, jitter_depth=jitter_depth,
+                                  max_steps=50, cfg=cfg)
+
+    def test_seed_with_a_tail_past_its_blocks_is_never_whole(self):
+        # a base-3 seed of 243 digits leaves three digits past the depth-3
+        # rotation's 4-digit blocks, so its rows decide only windowed places
+        cfg = StateConfig(champernowne(3, 243), n_max=3)
+        thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 3)))
+        assert not np.isnan(_reduced_values(cfg.seed_string, 3, np.arange(8), thr)).all()
+        _assert_matches_reference(Fraction(1, 3), 100, jitter_depth=3, max_steps=30,
+                                  cfg=cfg)
 
 
 class TestSeedInvariance:
