@@ -33,11 +33,11 @@ every rotated seed come from a single gather, and polarization,
 interference and seed invariance read nothing but those cached windows.
 The EPR correlation is an exact digit sum.  Weak reduction reads every
 walk's first step at once: step 1 depends only on theta0 and the start
-longitude, so one row-wise read per chunk of distinct start numerators
-(``reduction._reduced_values``) gives each r, and a walk whose first
-Euler step lands in a pole ends there.  Only the walks that step 1 does
-not absorb, and the rare row the read defers, run the per-walk
-integrator ``weak_reduction_walk``, which stays the batch's oracle.
+longitude, so one read over the distinct start numerators
+(``reduction._reduced_values``, the reader every walk step uses) gives
+each r, and a walk whose first Euler step lands in a pole ends there.
+Only the walks that step 1 does not absorb run the per-walk integrator
+``weak_reduction_walk``, which stays the batch's oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, cos, isnan, log2, sin, sqrt
+from math import ceil, cos, log2, sin, sqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -585,13 +585,14 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     longitudes.  With small steps the drift term dominates the jitter
     noise and every walk saturates into its nearer pole instead.
 
-    Step 1 is read for the whole ensemble: ``_reduced_values`` once per
-    distinct start numerator, then the walk's own Euler step and pole
-    test (``_euler_step``).  A walk that step 1 absorbs counts one step
-    and builds no WalkResult; every other walk, and every walk whose row
-    the read defers, runs ``weak_reduction_walk`` from its start, so the
-    counts are those of the per-walk loop.  theta0, alpha and dt are
-    checked before any read, and max_steps < 1 absorbs nothing.
+    Step 1 is read for the whole ensemble: ``_reduced_values``, the
+    walk's own reader, once over the distinct start numerators, then the
+    walk's own Euler step and pole test (``_euler_step``).  A Tie or an
+    EmptyResult raises from that read, as it would from the walk.  A walk
+    that step 1 absorbs counts one step and builds no WalkResult; every
+    other walk runs ``weak_reduction_walk`` from its start, so the counts
+    are those of the per-walk loop.  theta0, alpha and dt are checked
+    before any read, and max_steps < 1 absorbs nothing.
     """
     if ensemble_size < 1:
         raise ValueError("weak reduction needs at least one walk")
@@ -610,7 +611,7 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     if max_steps >= 1:
         nums, inverse = np.unique(lam0s, return_inverse=True)
         rs = _reduced_values(cfg.seed_string, depth, nums, BinaryThreshold.from_angle(th0))
-        step1 = [None if isnan(r) else _euler_step(th0, r, alpha, dt)[1] for r in rs.tolist()]
+        step1 = [_euler_step(th0, r, alpha, dt)[1] for r in rs]
         poles = np.array([-1 if j is None else j for j in step1])[inverse]
     finished = int(np.count_nonzero(poles >= 0))
     steps_total = finished

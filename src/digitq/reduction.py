@@ -30,11 +30,15 @@ lo digit below t is kept on the spot, symmetrically for >=).
 The drift equation dtheta/dt = alpha (r - 1/2) sin(theta) closes the
 loop in one integrator, ``weak_reduction_walk``: r is recomputed from the
 current theta and longitude each Euler step, on only as much of the
-rotated seed as its leading survivors need.  With the longitude frozen
-the first-survivor digit cannot flip as the threshold moves with the
-drift, so theta runs monotonically into the pole selected by the initial
-sign of r - 1/2; seeded longitude jitter re-randomizes r each step and
-turns absorption into a gambler's-ruin-style walk between the poles.
+rotated seed as its leading survivors need.  One reader,
+``_reduced_prefix``, gives those survivors for any number of longitudes
+at once, so a walk step reads one row and the experiment's step 1 of a
+whole ensemble reads one row per start longitude.  With the longitude
+frozen the first-survivor digit cannot flip as the threshold moves with
+the drift, so theta runs monotonically into the pole selected by the
+initial sign of r - 1/2; seeded longitude jitter re-randomizes r each
+step and turns absorption into a gambler's-ruin-style walk between the
+poles.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ import numpy as np
 
 from .digits import (DeletionLog, DigitString, _compress, _digits_to_int,
                      degree_of_normality)
-from .errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
-from .phase import PAdicRational, _rotated_prefix, _rotated_rows
+from .errors import EmptyResult, LengthNotDivisible, NonConvergence, SuffixTooShort, Tie
+from .phase import PAdicRational, _rotated_rows
+# not called here: perfbench/tracing.py resolves its reduction.rotated_prefix target here
+from .phase import _rotated_prefix  # noqa: F401
 from .rng import make_rng
 
 __all__ = [
@@ -346,84 +352,71 @@ def reduce_compound(s: DigitString) -> ReductionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# fast prefix evaluation (the walk reads its survivors here)
+# fast prefix evaluation (every walk step and the batched step 1 read here)
+
+_READ_PLACES = 32 * 448  # places of uint8 digits one gather holds
 
 
-def _reduced_prefix(r0: DigitString, q: PAdicRational, thr: BinaryThreshold,
-                    want: int) -> np.ndarray:
+def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
+                    thr: BinaryThreshold, want: int) -> list:
     """First min(want, total) surviving digits of the 0/1 partial
-    reduction of phase_rotate(r0, q), rotating only the prefix they need.
+    reduction of phase_rotate(r0, m/2^depth), one array per numerator m
+    of ``nums``, rotating only the places they need.
 
-    A rotated prefix of at least n + THRESHOLD_BITS digits decides at
-    least its first n + 1 places (``_decided_keep``).  n starts at want
-    and doubles until want survivors are decided or the whole string is
-    read, so want = len(r0) reads the whole string in one pass.
+    The rotated string is r0's whole 2^(depth-1)-blocks (LengthNotDivisible
+    when it has none).  Every row first reads L = 4 * want + THRESHOLD_BITS
+    of its places (all of them when fewer), which decide at least
+    4 * want + 1 (``_decided_keep``).  On a balanced string at least half
+    the places survive on average (every lo digit when t >= 1/2, every hi
+    digit when t <= 1/2), so only the rare row keeps fewer than want;
+    those rows alone read again at 2L, until L is the whole string.  One
+    ``_rotated_rows`` gather holds at most _READ_PLACES places, or one row.
     """
-    n = want
-    while True:
-        d = _rotated_prefix(r0.digits, q, n + THRESHOLD_BITS)
-        whole = d.size < n + THRESHOLD_BITS
-        keep, decided = _decided_keep(d == 1, d.size, whole, thr)
-        survivors = d[:decided][keep[:decided]]
-        if survivors.size >= want or whole:
-            break
-        n *= 2
-    if survivors.size == 0:
-        raise EmptyResult("no digit survives the reduction")
-    return survivors[:want]
-
-
-def _reduced_value(r0: DigitString, q: PAdicRational, thr: BinaryThreshold) -> float:
-    """Float value of partial_reduce(phase_rotate(r0, q), thr), the binary
-    fraction of its first REDUCED_VALUE_DIGITS survivors.  Detects an exact
-    value of 1/2 and raises Tie, since the drift equation is stationary there."""
-    digs = _reduced_prefix(r0, q, thr, REDUCED_VALUE_DIGITS)
-    # the value is exactly 1/2 only if a leading 1 is followed by no 1 in
-    # the whole rotated string; a 1 among the first survivors rules that
-    # out, so only a run of 0s sends the check on to every survivor
-    if (digs[0] == 1 and not digs[1:].any()
-            and not _reduced_prefix(r0, q, thr, len(r0))[1:].any()):
-        raise Tie("reduced value is exactly 1/2")
-    return _digits_to_int(digs, 2) / 2 ** digs.size
-
-
-_VALUE_ROWS = 32  # numerators per batch, each row 448 places of uint8 digits
+    full = len(r0) - len(r0) % 2 ** max(depth - 1, 0)
+    if full == 0:
+        raise LengthNotDivisible(f"string length {len(r0)} is below one rotation block")
+    out = [None] * nums.size
+    rows = list(range(nums.size))
+    L = min(4 * want + THRESHOLD_BITS, full)
+    while rows:
+        whole = L == full
+        chunk = max(_READ_PLACES // L, 1)
+        short = []
+        for lo in range(0, len(rows), chunk):
+            part = rows[lo:lo + chunk]
+            d = _rotated_rows(r0.digits, 2, depth, nums[part, None], np.arange(L))
+            keep, decided = _decided_keep(d == 1, L, whole, thr)
+            for i, digs, kept in zip(part, d[:, :decided], keep[:, :decided]):
+                survivors = digs[kept]
+                if survivors.size >= want or whole:
+                    if survivors.size == 0:
+                        raise EmptyResult("no digit survives the reduction")
+                    out[i] = survivors[:want]
+                else:
+                    short.append(i)
+        rows = short
+        L = min(2 * L, full)
+    return out
 
 
 def _reduced_values(r0: DigitString, depth: int, nums: np.ndarray,
-                    thr: BinaryThreshold) -> np.ndarray:
-    """``_reduced_value`` at q = nums[i]/2^depth for each numerator,
-    _VALUE_ROWS rows at a time, NaN where the row defers to it.
-
-    One gather reads the first L = 4 * REDUCED_VALUE_DIGITS + THRESHOLD_BITS
-    places of every rotated seed (the whole string when shorter), which
-    decide at least 4 * REDUCED_VALUE_DIGITS + 1 places (``_decided_keep``).
-    On a balanced string at least half the places survive on average (every
-    lo digit when t >= 1/2, every hi digit when t <= 1/2), so the rare row
-    keeps fewer than REDUCED_VALUE_DIGITS survivors; it defers, and so does
-    a row whose survivors read a 1 and then only 0s, the one pattern whose
-    Tie check reads the whole string.  The other rows take the same int/int
-    division as ``_reduced_value``, so r is bit-identical.
-    """
-    block = 2 ** max(depth - 1, 0)
-    # the rotated string is its whole blocks; a shorter tail leaves no row whole
-    L = min(4 * REDUCED_VALUE_DIGITS + THRESHOLD_BITS, len(r0) - len(r0) % block)
-    whole = L == len(r0)
-    values = np.full(nums.size, np.nan)
-    if L < REDUCED_VALUE_DIGITS:
-        return values
-    for lo in range(0, nums.size, _VALUE_ROWS):
-        rows = slice(lo, lo + _VALUE_ROWS)
-        d = _rotated_rows(r0.digits, 2, depth, nums[rows, None], np.arange(L))
-        keep, decided = _decided_keep(d == 1, L, whole, thr)
-        keep = keep[:, :decided]
-        first = np.argsort(~keep, axis=1, kind="stable")[:, :REDUCED_VALUE_DIGITS]
-        digs = np.take_along_axis(d, first, axis=1)
-        tie = (digs[:, 0] == 1) & ~digs[:, 1:].any(axis=1)
-        ok = (np.count_nonzero(keep, axis=1) >= REDUCED_VALUE_DIGITS) & ~tie
-        packed = np.packbits(digs, axis=1)
-        values[rows] = [int.from_bytes(row.tobytes(), "big") / 2 ** REDUCED_VALUE_DIGITS
-                        if good else np.nan for row, good in zip(packed, ok)]
+                    thr: BinaryThreshold) -> list:
+    """Float value of partial_reduce(phase_rotate(r0, m/2^depth), thr) for
+    each numerator m of ``nums``, the binary fraction of its first
+    REDUCED_VALUE_DIGITS survivors, as a python float (``trajectory_csv``
+    writes its repr).  Detects an exact value of 1/2 and raises Tie, since
+    the drift equation is stationary there."""
+    values = []
+    for m, digs in zip(nums.tolist(), _reduced_prefix(r0, depth, nums, thr,
+                                                      REDUCED_VALUE_DIGITS)):
+        v = _digits_to_int(digs, 2)
+        # the value is exactly 1/2 only if a leading 1 is followed by no 1
+        # in the whole rotated string; a 1 among the first survivors rules
+        # that out, so only a run of 0s sends the check on to every survivor
+        if (v == 1 << (digs.size - 1)
+                and not _reduced_prefix(r0, depth, np.array([m]), thr, len(r0))[0][1:].any()):
+            raise Tie("reduced value is exactly 1/2")
+        values.append(v / 2 ** digs.size)
     return values
 
 
@@ -473,14 +466,16 @@ def _euler_step(theta: float, r: float, alpha: float, dt: float):
     return theta, None
 
 
-def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
+def weak_reduction_walk(theta0: AngleLike, lam0: PAdicRational, r0: DigitString,
                         jitter_depth: int, dt: float, alpha: float, seed: int,
                         max_steps: int = 4096) -> WalkResult:
     """Forward-Euler integration of dtheta/dt = alpha (r - 1/2) sin(theta)
     with seeded longitude jitter between steps.
 
-    r is the value of the partially reduced seed, rotated to the current
-    longitude, at the current theta.  After each step the longitude moves
+    theta0 is an angle as ``BinaryThreshold.from_angle`` reads it: a
+    Fraction is a multiple of pi, a float radians.  r is the value of the
+    partially reduced seed, rotated to the current longitude, at the
+    current theta.  After each step the longitude moves
     by +-k * 2pi/2^jitter_depth, k uniform in 1..2^jitter_depth - 1, which
     re-randomizes r: theta walks at random until a pole absorbs it.  At
     jitter_depth = 0 the longitude stays lam0 and this is the drift ODE.
@@ -489,17 +484,18 @@ def weak_reduction_walk(theta0: float, lam0: PAdicRational, r0: DigitString,
     walk ends within TOL_POLE of one, on a row whose r is None, and raises
     NonConvergence at the step budget.  Same seed, same trajectory.
     """
-    _check_drift(theta0, alpha, dt)
+    theta = _angle_float(theta0)
+    _check_drift(theta, alpha, dt)
     if jitter_depth < 0:
         raise ValueError("jitter_depth must be non-negative")
     rng = None  # made at the first jitter draw: most walks absorb before one
     fine = max(jitter_depth, lam0.depth)
     num = lam0.numerator << (fine - lam0.depth)
-    theta = float(theta0)
     traj = []
     for step in range(1, max_steps + 1):
         q = PAdicRational(2, num, fine)
-        r = _reduced_value(r0, q, BinaryThreshold.from_angle(theta))
+        r = _reduced_values(r0, q.depth, np.array([q.numerator]),
+                            BinaryThreshold.from_angle(theta))[0]
         traj.append((theta, r, q.numerator, q.depth))
         theta, j = _euler_step(theta, r, alpha, dt)
         if j is not None:

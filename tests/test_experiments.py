@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from digitq.digits import DigitString, champernowne, concatenated_squares, phi_shift
+from digitq.digits import (DigitString, _digits_to_int, champernowne,
+                           concatenated_squares, phi_shift)
 from digitq import experiments, reduction
 from digitq.errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
                            NonConvergence, OffGrid, SuffixTooShort, Tie)
@@ -21,7 +22,7 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 _qutrit_leading_digits, _stage1_leads)
 from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
 from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _euler_step,
-                              _reduced_value, _reduced_values, reduce_compound,
+                              _reduced_values, partial_reduce, reduce_compound,
                               weak_reduction_walk)
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
@@ -771,10 +772,9 @@ class TestWeakReduction:
         """Walks whose start the batch read and whose step 1 lands in a
         pole, counted from the read's own values."""
         (_, nums, rs), = reads
-        value = dict(zip(nums.tolist(), rs.tolist()))
+        value = dict(zip(nums.tolist(), rs))
         th0 = _angle_float(theta0)
-        return sum(not math.isnan(value[m])
-                   and _euler_step(th0, value[m], alpha, dt)[1] is not None
+        return sum(_euler_step(th0, value[m], alpha, dt)[1] is not None
                    for m in starts.tolist())
 
     @pytest.mark.parametrize("alpha", [4096.0, 16.0])
@@ -885,7 +885,15 @@ def _biased_seed(n: int, p_one: float, seed: int) -> DigitString:
 
 class TestBatchedStep1:
     """The experiment's batched step 1 (``_reduced_values`` and
-    ``_euler_step`` once per distinct start) against the per-walk loop."""
+    ``_euler_step`` once per distinct start) against the per-walk loop
+    and the constructor."""
+
+    @staticmethod
+    def _constructor_value(r0, q, thr) -> float:
+        """r off partial_reduce(phase_rotate(r0, q), thr), the full
+        constructor: the binary fraction of its first 96 survivors."""
+        digs = partial_reduce(phase_rotate(r0, q), thr)[0].digits[:96]
+        return _digits_to_int(digs, 2) / 2 ** digs.size
 
     @pytest.mark.parametrize("alpha", [4096.0, 16.0])
     @pytest.mark.parametrize("jitter_depth", [0, 4, 10])
@@ -900,12 +908,14 @@ class TestBatchedStep1:
         nums = np.unique(_walk_starts(120, depth, 3))
         rs = _reduced_values(r0, depth, nums, thr)
         assert not np.isnan(rs).any()
-        for m, r in zip(nums.tolist(), rs.tolist()):
+        assert all(type(r) is float for r in rs)
+        for m, r in zip(nums.tolist(), rs):
             lam0 = PAdicRational(2, m, depth)
             q = PAdicRational(2, lam0.numerator << (max(jitter_depth, lam0.depth)
                                                     - lam0.depth),
                               max(jitter_depth, lam0.depth))
-            assert r.hex() == _reduced_value(r0, q, thr).hex()
+            assert r.hex() == _reduced_values(r0, q.depth, np.array([q.numerator]),
+                                              thr)[0].hex()
             pole = _euler_step(th0, r, alpha, 1.0)[1]
             try:
                 res = weak_reduction_walk(th0, lam0, r0, jitter_depth, 1.0, alpha, 0, 1)
@@ -929,13 +939,15 @@ class TestBatchedStep1:
                                   max_steps=max_steps, seed=seed)
 
     @pytest.mark.parametrize("rows", [1, 7, None])
-    def test_chunk_size_does_not_change_the_read(self, monkeypatch, rows):
+    def test_chunk_size_does_not_change_the_read(self, monkeypatch, gathers, rows):
         r0 = default_config().seed_string
         thr = BinaryThreshold.from_angle(_angle_float(Fraction(2, 3)))
         nums = np.unique(_walk_starts(200, 10, 0))
         expected = _reduced_values(r0, 10, nums, thr)
-        monkeypatch.setattr(reduction, "_VALUE_ROWS", rows or nums.size)
+        monkeypatch.setattr(reduction, "_READ_PLACES", (rows or nums.size) * 448)
+        gathers.clear()
         assert np.array_equal(_reduced_values(r0, 10, nums, thr), expected)
+        assert max(len(m) for m, places in gathers if places == 448) == (rows or nums.size)
         _assert_matches_reference(Fraction(2, 3), 200, alpha=16.0)
 
     @staticmethod
@@ -947,19 +959,29 @@ class TestBatchedStep1:
                                  np.zeros(150, dtype=np.uint8), tail])
         return StateConfig(DigitString(2, digits), n_max=2)
 
-    def test_tie_pattern_defers_and_agrees(self):
-        # a 1 surviving in the random tail makes the value exactly 1/2, no Tie
+    def test_tie_pattern_reads_every_survivor_and_agrees(self, gathers):
+        # a 1 surviving in the random tail makes the value 1/2 as a float,
+        # but not exactly, so no Tie: only the unrotated row reads again,
+        # the whole string in one gather
         cfg = self._tie_config(_biased_seed(311, 0.5, 4).digits)
         thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 2)))
         rs = _reduced_values(cfg.seed_string, 2, np.arange(4), thr)
-        assert math.isnan(rs[0]) and not np.isnan(rs[1:]).any()
+        assert rs[0] == 0.5
+        assert gathers == [([0, 1, 2, 3], 448), ([0], 512)]
+        assert rs == [self._constructor_value(cfg.seed_string, PAdicRational(2, m, 2), thr)
+                      for m in range(4)]
         _assert_matches_reference(Fraction(1, 2), 40, jitter_depth=2, max_steps=40,
                                   cfg=cfg)
 
-    def test_tie_defers_and_raises_as_the_walk_does(self):
+    def test_tie_raises_from_the_batch_as_the_walk_does(self, monkeypatch):
         cfg = self._tie_config(np.zeros(311, dtype=np.uint8))
         with pytest.raises(Tie):
             _reference_report(Fraction(1, 2), 40, jitter_depth=2, cfg=cfg)
+
+        def refuse(*args):
+            raise AssertionError("the batch's Tie reached the per-walk loop")
+
+        monkeypatch.setattr(experiments, "weak_reduction_walk", refuse)
         with pytest.raises(Tie):
             weak_reduction_experiment(Fraction(1, 2), 40, jitter_depth=2, cfg=cfg)
 
@@ -969,44 +991,48 @@ class TestBatchedStep1:
         # of 49 leading 1s, and nothing follows it but 0s
         cfg = StateConfig(DigitString(2, [1] * 49 + [0] * 463), n_max=2)
         thr = BinaryThreshold.from_angle(1e-7)
-        assert math.isnan(_reduced_values(cfg.seed_string, 2, np.arange(1), thr)[0])
+        with pytest.raises(Tie):
+            _reduced_values(cfg.seed_string, 2, np.arange(1), thr)
         with pytest.raises(Tie):
             _reference_report(1e-7, 40, jitter_depth=2, cfg=cfg)
         with pytest.raises(Tie):
             weak_reduction_experiment(1e-7, 40, jitter_depth=2, cfg=cfg)
 
-    def test_rows_short_of_survivors_near_a_pole_defer_and_agree(self):
+    def test_rows_short_of_survivors_near_a_pole_read_again_and_agree(self, gathers):
         # near theta = 0 only lo digits and hi digits before a long run of
         # 1s survive, and the unrotated seed, nine-tenths 1s, has too few
+        # in its first read: that row reads again, at twice the places
         cfg = StateConfig(_biased_seed(4096, 0.9, 7), n_max=4)
         thr = BinaryThreshold.from_angle(1e-3)
         rs = _reduced_values(cfg.seed_string, 4, np.arange(16), thr)
-        assert math.isnan(rs[0])
+        assert gathers[0] == (list(range(16)), 448)
+        assert 0 in gathers[1][0] and gathers[1][1] == 896
+        assert rs == [self._constructor_value(cfg.seed_string, PAdicRational(2, m, 4), thr)
+                      for m in range(16)]
         _assert_matches_reference(1e-3, 100, jitter_depth=4, max_steps=200, cfg=cfg)
 
     @pytest.mark.parametrize("length", [64, 256, 448, 512])
     @pytest.mark.parametrize("jitter_depth", [0, 1, 2])
-    def test_short_seed_reads_whole_rows(self, length, jitter_depth):
-        # a seed shorter than the batch's read is read whole, and one
-        # shorter than 96 digits has too few survivors: every row defers
+    def test_short_seed_reads_whole_rows(self, gathers, length, jitter_depth):
+        # a seed shorter than the first read is read whole, in one gather,
+        # and one shorter than 96 digits gives each row fewer survivors
         cfg = StateConfig(champernowne(2, length), n_max=2)
         depth = jitter_depth or 2
         thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 3)))
         rs = _reduced_values(cfg.seed_string, depth, np.arange(1 << depth), thr)
-        if length < 96:
-            assert np.isnan(rs).all()
-        else:
-            assert not np.isnan(rs).all()
-        for m, r in enumerate(rs.tolist()):
-            if not math.isnan(r):
-                assert r == _reduced_value(cfg.seed_string,
-                                           PAdicRational(2, m, depth), thr)
+        assert gathers[0] == (list(range(1 << depth)), min(length, 448))
+        if length <= 448:
+            assert len(gathers) == 1
+        for m, r in enumerate(rs):
+            assert r == self._constructor_value(cfg.seed_string,
+                                                PAdicRational(2, m, depth), thr)
         _assert_matches_reference(Fraction(1, 3), 50, jitter_depth=jitter_depth,
                                   max_steps=50, cfg=cfg)
 
     def test_seed_with_a_tail_past_its_blocks_is_never_whole(self):
         # a base-3 seed of 243 digits leaves three digits past the depth-3
-        # rotation's 4-digit blocks, so its rows decide only windowed places
+        # rotation's 4-digit blocks: the rotated string is its 240 whole-
+        # block digits, and the tail is never read
         cfg = StateConfig(champernowne(3, 243), n_max=3)
         thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 3)))
         assert not np.isnan(_reduced_values(cfg.seed_string, 3, np.arange(8), thr)).all()

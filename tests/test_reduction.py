@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitq.digits import DigitString, champernowne, value
-from digitq.errors import EmptyResult, NonConvergence, SuffixTooShort, Tie
+from digitq.errors import (EmptyResult, LengthNotDivisible, NonConvergence,
+                           SuffixTooShort, Tie)
 from digitq import reduction
 from digitq.phase import PAdicRational, apply, phase_rotate, rotation_operator
 from digitq.reduction import (THRESHOLD_BITS, BinaryThreshold, _decided_keep,
-                              _deletion_mask, _reduced_prefix, _reduced_value,
+                              _deletion_mask, _reduced_prefix, _reduced_values,
                               _window_u64, biased_quantile_threshold,
                               partial_reduce, project, reduce_Rj,
                               reduce_compound, weak_reduction_walk)
@@ -442,8 +443,8 @@ class TestEvolveODE:
         # a state whose reduced value is exactly 1/2 at theta = pi/2
         r0 = DigitString(2, [1] + [0] * 63)
         with pytest.raises(Tie):
-            _reduced_value(r0, PAdicRational(2, 0, 0),
-                           BinaryThreshold.from_angle(Fraction(1, 2)))
+            _reduced_values(r0, 0, np.array([0]),
+                            BinaryThreshold.from_angle(Fraction(1, 2)))
 
     def test_near_tie_reads_half(self, monkeypatch):
         # within 2^-96 of 1/2 but not equal: a 1 after 200 zeros, or 0 then
@@ -452,8 +453,8 @@ class TestEvolveODE:
         monkeypatch.setattr(reduction, "partial_reduce", _refuse_partial_reduce)
         thr = BinaryThreshold.from_angle(Fraction(1, 2))
         for digits in ([1] + [0] * 200 + [1] + [0] * 55, [0] + [1] * 255):
-            assert _reduced_value(DigitString(2, digits), PAdicRational(2, 0, 0),
-                                  thr) == 0.5
+            assert _reduced_values(DigitString(2, digits), 0, np.array([0]),
+                                   thr) == [0.5]
 
     def test_a_one_among_the_first_survivors_rules_out_a_tie(self, monkeypatch):
         # 1/2 + 2^-60 reads 0.5 as a float, but its 60th survivor is a 1,
@@ -462,10 +463,10 @@ class TestEvolveODE:
         calls = []
         read = reduction._reduced_prefix
         monkeypatch.setattr(reduction, "_reduced_prefix",
-                            lambda *args: calls.append(args[3]) or read(*args))
+                            lambda *args: calls.append(args[4]) or read(*args))
         r0 = DigitString(2, [1] + [0] * 58 + [1] + [0] * 196)
         thr = BinaryThreshold.from_angle(Fraction(1, 2))
-        assert _reduced_value(r0, PAdicRational(2, 0, 0), thr) == 0.5
+        assert _reduced_values(r0, 0, np.array([0]), thr) == [0.5]
         assert calls == [96]
 
     def test_rejects_poles(self):
@@ -521,7 +522,7 @@ class TestDecidedKeep:
 
 
 class TestReducedPrefix:
-    """``_reduced_prefix`` rotates only the prefix it reads; the oracle
+    """``_reduced_prefix`` rotates only the places it reads; the oracle
     rotates the whole string with the dense operator and reduces it."""
 
     @staticmethod
@@ -534,11 +535,13 @@ class TestReducedPrefix:
 
     def check(self, r0, q, thr, want=96):
         expected = self.oracle(r0, q, thr, want)
+        nums = np.array([q.numerator])
         if expected is None:
             with pytest.raises(EmptyResult):
-                _reduced_prefix(r0, q, thr, want)
+                _reduced_prefix(r0, q.depth, nums, thr, want)
         else:
-            assert np.array_equal(_reduced_prefix(r0, q, thr, want), expected)
+            got, = _reduced_prefix(r0, q.depth, nums, thr, want)
+            assert np.array_equal(got, expected)
 
     def test_random_strings_angles_and_thresholds(self):
         rng = np.random.default_rng(91)
@@ -549,18 +552,28 @@ class TestReducedPrefix:
             q = PAdicRational(2, int(rng.integers(0, 1 << depth)), depth)
             self.check(r0, q, random_threshold(rng))
 
-    @staticmethod
-    def record_reads(monkeypatch):
-        """The digit counts ``_reduced_prefix`` asks ``_rotated_prefix`` for."""
-        reads = []
-        rotated_prefix = reduction._rotated_prefix
-
-        def recording(digits, q, n_digits):
-            reads.append(n_digits)
-            return rotated_prefix(digits, q, n_digits)
-
-        monkeypatch.setattr(reduction, "_rotated_prefix", recording)
-        return reads
+    def test_rows_of_one_call_match_the_constructor(self):
+        # several numerators per call, on an unreduced grid: a row with an
+        # even numerator m is the rotation by m/2^depth in lowest terms
+        rng = np.random.default_rng(92)
+        for _ in range(30):
+            r0 = DigitString(2, rng.integers(0, 2, int(rng.integers(1, 5)) << 11,
+                                             dtype=np.uint8))
+            depth = int(rng.integers(1, 12))
+            nums = rng.integers(0, 1 << depth, 6)
+            nums[:3] &= ~1
+            thr = random_threshold(rng)
+            want = int(rng.choice([1, 96, 500]))
+            try:
+                expected = [partial_reduce(phase_rotate(r0, PAdicRational(2, m, depth)),
+                                           thr)[0].digits[:want] for m in nums.tolist()]
+            except EmptyResult:
+                with pytest.raises(EmptyResult):
+                    _reduced_prefix(r0, depth, nums, thr, want)
+                continue
+            got = _reduced_prefix(r0, depth, nums, thr, want)
+            assert len(got) == nums.size
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     @staticmethod
     def ones_at(length, *places):
@@ -569,57 +582,98 @@ class TestReducedPrefix:
             digits[p] = 1
         return DigitString(2, digits)
 
-    def test_first_read_is_sized_by_the_request(self, monkeypatch):
-        # 96 + 64 digits, one 512-digit block at depth 10, hold the 96
-        # survivors of the default seed; the Tie check's request for every
-        # survivor reads the whole string at once
+    def test_first_read_is_sized_by_the_request(self, gathers):
+        # 4 * 96 + 64 = 448 places decide 385, which hold the 96 survivors
+        # of the default seed; the Tie check's request for every survivor
+        # reads the whole string at once
         r0 = champernowne(2, 1 << 18)
-        q = PAdicRational(2, 341, 10)
         thr = BinaryThreshold.from_angle(Fraction(1, 3))
-        reads = self.record_reads(monkeypatch)
-        assert _reduced_prefix(r0, q, thr, 96).size == 96
-        assert reads == [96 + THRESHOLD_BITS]
-        reads.clear()
-        _reduced_prefix(r0, q, thr, len(r0))
-        assert reads == [len(r0) + THRESHOLD_BITS]
+        assert _reduced_prefix(r0, 10, np.array([341]), thr, 96)[0].size == 96
+        assert gathers == [([341], 4 * 96 + THRESHOLD_BITS)]
+        gathers.clear()
+        _reduced_prefix(r0, 10, np.array([341]), thr, len(r0))
+        assert gathers == [([341], len(r0))]
 
-    def test_prefix_doubles_when_survivors_are_sparse(self, monkeypatch):
+    def test_prefix_doubles_when_survivors_are_sparse(self, gathers):
         # at t = 2^-64 every 1 survives and a 0 only before 63 more 0s.
-        # One 1 in 32 places: the reads of 96 + 64 digits and its five
-        # doublings decide 2, 5, 11, 23, 47 and 95 survivors.  The last
-        # of them, 3136 digits, ends just before the 1 at 3136 that kills
-        # the 0s at 3073..3135, so the 96th survivor waits for a seventh
-        # read: that 1
+        # The 1 at 63 and the 1s every 32 places from 96 to 3072 are 95
+        # survivors, and the 0s after them die by the 96th, the 1 at 3136.
+        # The reads of 448, 896 and 1792 places decide 11, 25 and 53
+        # survivors; the 96th waits for the fourth read, of 3584
         r0 = self.ones_at(6400, 63, range(96, 3073, 32), range(3136, 6400, 64))
         thr = BinaryThreshold(1)
-        reads = self.record_reads(monkeypatch)
-        got = _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96)
+        got, = _reduced_prefix(r0, 0, np.array([0]), thr, 96)
         assert got.size == 96 and got.all()
-        assert reads == [(96 << i) + THRESHOLD_BITS for i in range(7)]
+        assert gathers == [([0], 448 << i) for i in range(4)]
         self.check(r0, PAdicRational(2, 0, 0), thr)
         self.check(r0, PAdicRational(2, 3, 5), thr)
 
-    def test_places_past_the_decided_prefix_wait_for_their_digits(self, monkeypatch):
-        # at t = 2^-64 the first read, 160 digits, decides places 0..96:
-        # 95 survivors, the 1s at 2..96.  The 0s at 97..159 die by the 1
-        # at 160, which that read does not reach: the 96th survivor is
-        # that 1, from the second read
-        r0 = self.ones_at(320, range(2, 97), range(160, 320, 64))
+    def test_places_past_the_decided_prefix_wait_for_their_digits(self, gathers):
+        # at t = 2^-64 the first read, 448 places, decides places 0..384:
+        # 95 survivors, the 1s at 8, 12, ..., 384.  The 0s at 385..447 die
+        # by the 1 at 448, which that read does not reach: the 96th
+        # survivor is that 1, from the second read
+        r0 = self.ones_at(1024, range(8, 385, 4), range(448, 1024, 64))
         thr = BinaryThreshold(1)
-        reads = self.record_reads(monkeypatch)
-        got = _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96)
+        got, = _reduced_prefix(r0, 0, np.array([0]), thr, 96)
         assert got.size == 96 and got.all()
-        assert reads == [160, 256]
+        assert gathers == [([0], 448), ([0], 896)]
         self.check(r0, PAdicRational(2, 0, 0), thr)
 
-    def test_whole_string_read_when_survivors_run_out(self):
+    def test_whole_string_read_when_survivors_run_out(self, gathers):
         r0 = DigitString(2, ([1] * 63 + [0]) * 32)
         thr = BinaryThreshold((1 << 64) - 1)
-        assert _reduced_prefix(r0, PAdicRational(2, 0, 0), thr, 96).size == 32
+        assert _reduced_prefix(r0, 0, np.array([0]), thr, 96)[0].size == 32
+        assert gathers == [([0], 448), ([0], 896), ([0], 1792), ([0], 2048)]
         self.check(r0, PAdicRational(2, 0, 0), thr)
+
+    def test_seed_below_one_rotation_block_is_refused(self):
+        # the rotated string is the seed's whole blocks: 16 digits hold no
+        # 128-digit block at depth 8
+        with pytest.raises(LengthNotDivisible):
+            _reduced_prefix(champernowne(2, 16), 8, np.array([1]), BinaryThreshold(1), 96)
+
+    def test_only_undecided_rows_read_again_within_the_gather_bound(self, gathers):
+        # at t = 1 - 2^-64 every 0 survives and a 1 only before 63 more 1s:
+        # the seed keeps its 32 zeros, and its complement (1/2 of a turn)
+        # 63 of every 64 places.  The complement rows are decided by the
+        # first read; the seed's rows alone grow to the whole string
+        r0 = DigitString(2, ([1] * 63 + [0]) * 32)
+        thr = BinaryThreshold((1 << 64) - 1)
+        nums = np.arange(40) % 2
+        got = _reduced_prefix(r0, 1, nums, thr, 96)
+        assert all(np.array_equal(g, self.oracle(r0, PAdicRational(2, m, 1), thr, 96))
+                   for g, m in zip(got, nums.tolist()))
+        assert all(len(rows) * places <= max(reduction._READ_PLACES, places)
+                   for rows, places in gathers)
+        rows_by_read = {}
+        for rows, places in gathers:
+            rows_by_read.setdefault(places, []).extend(rows)
+        assert sorted(rows_by_read) == [448, 896, 1792, 2048]
+        assert [len(rows) for rows, places in gathers if places == 448] == [32, 8]
+        assert rows_by_read.pop(448) == nums.tolist()
+        assert all(rows == [0] * 20 for rows in rows_by_read.values())
 
 
 class TestWeakReductionWalk:
+    def test_fraction_theta0_is_a_multiple_of_pi(self):
+        # a Fraction angle is a multiple of pi, as BinaryThreshold.from_angle
+        # reads it: Fraction(1, 3) starts at pi/3, not at 1/3 rad
+        r0 = champernowne(2, 1 << 14)
+        lam = PAdicRational(2, 5, 6)
+        a, b = (weak_reduction_walk(theta0, lam, r0, jitter_depth=6, dt=1.0,
+                                    alpha=2.0, seed=3)
+                for theta0 in (Fraction(1, 3), math.pi / 3))
+        assert a.trajectory[0][0] == math.pi / 3
+        assert a.trajectory == b.trajectory
+
+    def test_fraction_theta0_past_pi_is_refused(self):
+        # Fraction(3, 2) is 3pi/2, off the open interval, though 1.5 rad is on it
+        r0 = champernowne(2, 1 << 12)
+        with pytest.raises(ValueError, match="theta0 must lie strictly between 0 and pi"):
+            weak_reduction_walk(Fraction(3, 2), PAdicRational(2, 1, 3), r0, jitter_depth=0,
+                                dt=0.1, alpha=1.0, seed=0, max_steps=10)
+
     def test_same_seed_same_trajectory(self):
         r0 = champernowne(2, 1 << 16)
         lam = PAdicRational(2, 3, 8)
