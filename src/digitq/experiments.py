@@ -20,13 +20,16 @@ Every rotation on these paths is read from the odometer
 (``phase._rotated_rows``) at the places it needs; no dense operator is
 built.  The trace rule reads the leading digit off one window of stage 1
 by the first-survivor lemma in one row-wise read, ``_stage1_leads``,
-for a chunk of samples at once: one gather per rotation gives the first
-3^(n_max-1) places of every rotated seed as the rows of a matrix; the
-read looks each verdict up by rank and gathers only the window's 64
-stage-1 digits.  The rare row those places leave undecided goes through
-the per-sample reader, the same read on one row of a growing slice of
-the seed's digits rotated by the constructor's own rotation stage.
-Unit tests pin the batch to it and it to the constructor,
+for a chunk of samples at once: one composed gather (``_trace_rows``,
+the triadic odometer, then the dyadic one at each nonzero digit's rank)
+gives the first 256 places of every rotated seed as the rows of a
+matrix; the read looks each verdict up by rank and gathers only the
+window's 64 stage-1 digits.  Only the rows 256 places leave undecided
+read again, at 3^(n_max-1) places, and the rare row those leave
+undecided goes through the per-sample reader, the same read on one row
+of a growing slice of the seed's digits rotated by the constructor's
+own rotation stage.  Unit tests pin the gather to that rotation stage,
+the batch to the per-sample reader and it to the constructor,
 ``qutrit_state``, whose ``_qutrit_reduce`` is the read's oracle.  Dyadic
 grid sweeps take a column of numerators, so the leading 64 digits of
 every rotated seed come from a single gather, and polarization,
@@ -53,11 +56,11 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .digits import DigitString, champernowne, concatenated_squares, phi_shift
+from .digits import DigitString, _add_mod, champernowne, concatenated_squares, phi_shift
 from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
                      NonConvergence, OffGrid, SuffixTooShort)
-from .phase import (PAdicRational, _rotated_rows, apply as apply_operator, extend_to,
-                    omega_root, operator_pow, phase_rotate)
+from .phase import (PAdicRational, _rotated_rows, _rotated_sources, apply as apply_operator,
+                    extend_to, omega_root, operator_pow, phase_rotate)
 from .reduction import (K_GUARD, THRESHOLD_BITS, BinaryThreshold, _angle_float,
                         _angle_repr, _check_drift, _decided_keep, _euler_step,
                         _reduced_values, _window_u64, weak_reduction_walk)
@@ -276,7 +279,9 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 # ---------------------------------------------------------------------------
 # three-level trace rule
 
-_TRACE_ROWS = 32  # samples per batch: a 32 x 729 int64 matrix is 187 KB
+# samples per batch: a 64 x 256 int64 matrix of the first read is 128 KB,
+# and only the rows it leaves undecided read all 3^(n_max-1) places
+_TRACE_ROWS = 64
 
 
 def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
@@ -329,6 +334,39 @@ def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThres
         prefix *= 4
 
 
+def _trace_sources(d: np.ndarray, W: int,
+                   depth2: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(rank, bits0) of ``_trace_rows`` for the first W places of the
+    digit array ``d``: each place's nonzero rank (at a zero, that of the
+    nonzero digit before it), and the seed's nonzero digits as bits, in
+    whole depth2 blocks covering one more than the W places hold, so that
+    the pipeline's rotated string reaches W places.  None when the seed
+    holds too few nonzero digits."""
+    nonzero = d[:W] != 0
+    block2 = 1 << max(depth2 - 1, 0)
+    need = -(-(np.count_nonzero(nonzero) + 1) // block2) * block2
+    bits0 = d[d != 0][:need] - 1
+    if bits0.size < need:
+        return None
+    return np.maximum(np.cumsum(nonzero) - 1, 0), bits0
+
+
+def _trace_rows(d: np.ndarray, rank: np.ndarray, bits0: np.ndarray, grid1: SampleGrid,
+                grid2: SampleGrid, e1s: np.ndarray, e2s: np.ndarray,
+                places: int) -> np.ndarray:
+    """The first ``places`` digits of the 3-level pipeline's rotated
+    string, one row per sampled pair (e1s[i]/3^depth1, e2s[i]/2^depth2),
+    in one composed gather: the triadic odometer gives each place's source
+    place and shift; a nonzero source digit of rank k reads its bit from
+    the dyadic odometer at k, and the rotated digit is (bit + 1, or 0 for
+    a zero, + shift) mod 3.  ``rank`` and ``bits0`` come from
+    ``_trace_sources`` for W places, W a multiple of the triadic block and
+    at least ``places``."""
+    idx1, sh1 = _rotated_sources(3, grid1.depth, e1s[:, None], np.arange(places))
+    bit = _rotated_rows(bits0, 2, grid2.depth, e2s[:, None], rank[idx1])
+    return _add_mod(np.where(d[idx1] != 0, 1 + bit, 0), sh1, 3)
+
+
 def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                            grid1: SampleGrid, grid2: SampleGrid, e1s: np.ndarray,
                            e2s: np.ndarray) -> np.ndarray:
@@ -339,25 +377,31 @@ def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThre
     rotated seed come from its first W digits and the first whole q2
     blocks of its nonzero digits.  Both gathers run at the grid depths: a
     numerator divisible by the base reads the same digits as its reduced
-    form one level down.  Rows whose W places leave the digit undecided
-    go through ``_qutrit_leading_digit``, and so does every row when the
+    form one level down.  Each row first reads min(4 * THRESHOLD_BITS, W)
+    places (``_trace_rows``); a prefix's lead holds for every longer
+    prefix (``reduction._decided_keep``), so only the rows it leaves
+    undecided read again, at all W places.  Rows still undecided go
+    through ``_qutrit_leading_digit``, and so does every row when the
     seed holds no nonzero digit past the q2 blocks that cover W.
     """
     d = cfg.seed_string.digits
     W = 3 ** max(cfg.n_max - 1, 0)
-    nz = np.flatnonzero(d[:W])
-    block2 = 1 << max(grid2.depth - 1, 0)
-    need = -(-(nz.size + 1) // block2) * block2
-    bits0 = d[d != 0][:need] - 1
+    sources = _trace_sources(d, W, grid2.depth)
     leads = np.full(e1s.size, -1, dtype=np.int64)
-    if bits0.size == need:
-        for lo in range(0, e1s.size, _TRACE_ROWS):
-            rows = slice(lo, lo + _TRACE_ROWS)
-            pre = np.tile(d[:W], (e1s[rows].size, 1))
-            pre[:, nz] = 1 + _rotated_rows(bits0, 2, grid2.depth, e2s[rows, None],
-                                           np.arange(nz.size))
-            rot = _rotated_rows(pre, 3, grid1.depth, e1s[rows, None], np.arange(W))
+    if sources is not None:
+        rank, bits0 = sources
+
+        def read(rows: np.ndarray, places: int) -> None:
+            rot = _trace_rows(d, rank, bits0, grid1, grid2, e1s[rows], e2s[rows], places)
             leads[rows] = _stage1_leads(rot, t1, t2, False)
+
+        first = min(4 * THRESHOLD_BITS, W)
+        for lo in range(0, e1s.size, _TRACE_ROWS):
+            rows = np.arange(lo, min(lo + _TRACE_ROWS, e1s.size))
+            read(rows, first)
+            again = rows[leads[rows] < 0]
+            if again.size and first < W:
+                read(again, W)
     for i in np.flatnonzero(leads < 0):
         leads[i] = _qutrit_leading_digit(cfg, t1, t2,
                                          PAdicRational(3, int(e1s[i]), grid1.depth),
@@ -381,9 +425,10 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
     (triadic, dyadic) longitude pairs versus the trace rule.
 
     The samples' leading digits come from ``_qutrit_leading_digits``: one
-    row per sample, _TRACE_ROWS rows at a time, with the per-sample
-    ``_qutrit_leading_digit`` as the fallback for rows the batch leaves
-    undecided, so the counts are those of the per-sample reader."""
+    row per sample, _TRACE_ROWS rows at a time, read at 256 places and,
+    where those leave the digit undecided, at 3^(n_max-1); the per-sample
+    ``_qutrit_leading_digit`` is the fallback for rows the batch still
+    leaves undecided, so the counts are those of the per-sample reader."""
     if n_samples < 1:
         raise ValueError("the trace rule needs at least one sample")
     cfg = cfg or default_qutrit_config()
@@ -592,13 +637,15 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     that step 1 absorbs counts one step and builds no WalkResult; every
     other walk runs ``weak_reduction_walk`` from its start, so the counts
     are those of the per-walk loop.  theta0, alpha and dt are checked
-    before any read, and max_steps < 1 absorbs nothing.
+    before any read, a base-3 seed is refused, and max_steps < 1 absorbs
+    nothing.
     """
     if ensemble_size < 1:
         raise ValueError("weak reduction needs at least one walk")
     th0 = _angle_float(theta0)
     _check_drift(th0, alpha, dt)
     cfg = cfg or default_config()
+    _check_base2_seed(cfg, "weak reduction")
     _check_grid(SampleGrid(depth=jitter_depth), 2, cfg.n_max)
     t0 = time.perf_counter()
     stuck = 0

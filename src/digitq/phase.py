@@ -337,18 +337,26 @@ def rotation_operator(q: PAdicRational) -> BlockOperator:
     return _rotation_operator_cached(p, q.numerator % p ** n, n)
 
 
-def _rotated_rows(digits: np.ndarray, p: int, depth: int, numerators,
-                  places: np.ndarray) -> np.ndarray:
-    """Digits at ``places`` of the base-p rows rotated by m/p^depth of a
-    turn, in one odometer gather: place j reads the p^(depth-1)-block that
-    starts at j - j mod block, and depth 0 (one place, m mod 1 = 0) is the
-    identity.  A column of ``numerators`` gives one row per numerator: of
-    the one string ``digits`` when it is 1-D, and of its own row of
-    ``digits`` when that is a matrix with one row per numerator."""
+def _rotated_sources(p: int, depth: int, numerators,
+                     places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source places and digit shifts of the rotation by m/p^depth of a
+    turn at ``places``: place j reads the p^(depth-1)-block that starts at
+    j - j mod block, and depth 0 (one place, m mod 1 = 0) is the identity.
+    A column of ``numerators`` gives one row per numerator."""
     n = max(depth - 1, 0)
     inner = places % p ** n
     src, shift = _odometer(p, n, numerators % p ** depth, inner)
-    idx = places - inner + src
+    return places - inner + src, shift
+
+
+def _rotated_rows(digits: np.ndarray, p: int, depth: int, numerators,
+                  places: np.ndarray) -> np.ndarray:
+    """Digits at ``places`` of the base-p rows rotated by m/p^depth of a
+    turn, in one odometer gather (``_rotated_sources``).  A column of
+    ``numerators`` gives one row per numerator: of the one string
+    ``digits`` when it is 1-D, and of its own row of ``digits`` when that
+    is a matrix with one row per numerator."""
+    idx, shift = _rotated_sources(p, depth, numerators, places)
     if digits.ndim > 1 and idx.ndim > 1:
         return _add_mod(np.take_along_axis(digits, idx, axis=-1), shift, p)
     return _add_mod(np.take(digits, idx, axis=-1), shift, p)

@@ -19,7 +19,8 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 polarization_experiment, seed_invariance_suite,
                                 trace_rule_experiment, weak_reduction_experiment,
                                 _grid_leading_windows, _qutrit_leading_digit,
-                                _qutrit_leading_digits, _stage1_leads)
+                                _qutrit_leading_digits, _stage1_leads, _trace_rows,
+                                _trace_sources)
 from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
 from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _euler_step,
                               _reduced_values, partial_reduce, reduce_compound,
@@ -29,7 +30,7 @@ from digitq.states import (BlochPoint, QutritAngles, StateConfig,
                            beamsplitter_pair, blocked_mz_output,
                            default_config, default_qutrit_config,
                            full_mz_output, qubit_state, qutrit_state,
-                           qutrit_thresholds, _qutrit_reduce)
+                           qutrit_thresholds, _qutrit_pipeline, _qutrit_reduce)
 
 
 class TestSampleGrid:
@@ -420,6 +421,45 @@ class TestBatchedTraceRule:
             trace_rule_experiment(Fraction(1, 2), Fraction(1, 3), SampleGrid(7, 3),
                                   SampleGrid(12), cfg=qcfg, n_samples=4, seed=0)
 
+    def test_rows_a_short_read_leaves_undecided_read_again_inside_the_batch(
+            self, monkeypatch):
+        # the first 600 seed digits hold a 2 every 12 places and zeros
+        # between them, so rows such as those at triadic numerator 0 (the
+        # identity, every third row here) read too few stage-1 digits in
+        # 256 places; all 729 places decide them, and only those rows read
+        # them
+        digits = champernowne(3, 3 ** 9).digits.copy()
+        digits[:600] = 0
+        digits[1:600:12] = 2
+        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
+        reads = []
+
+        def recording(rot, *args):
+            leads = _stage1_leads(rot, *args)
+            reads.append((rot.shape, int(np.count_nonzero(leads < 0))))
+            return leads
+
+        monkeypatch.setattr(experiments, "_stage1_leads", recording)
+        fallback = self.counting_fallback(monkeypatch)
+        rng = make_rng(21)
+        grid1, grid2 = SampleGrid(7, 3), SampleGrid(12)
+        for th1, th2 in [(Fraction(1), Fraction(1, 3)), (2.9, 1.0),
+                         (Fraction(1, 2), Fraction(1, 3))]:
+            t1, t2 = qutrit_thresholds(th1, th2)
+            e1s = rng.integers(0, grid1.modulus, size=16)
+            e1s[::3] = 0
+            e2s = rng.integers(0, grid2.modulus, size=16)
+            reads.clear()
+            got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
+            (first, undecided), (again, left) = reads
+            assert first == (16, 256) and 0 < undecided < 16
+            assert again == (undecided, 729) and left == 0
+            for lead, e1, e2 in zip(got, e1s, e2s):
+                ang = QutritAngles(th1, th2, PAdicRational(3, int(e1), 7),
+                                   PAdicRational(2, int(e2), 12))
+                assert lead == qutrit_state(qcfg, ang).leading_digit
+        assert fallback == []
+
     def test_chunk_size_does_not_change_the_counts(self, monkeypatch):
         kwargs = dict(theta1=Fraction(1, 2), theta2=Fraction(1, 3),
                       grid1=SampleGrid(depth=7, base=3), grid2=SampleGrid(depth=12),
@@ -428,6 +468,31 @@ class TestBatchedTraceRule:
         for rows in (1, 7, 40):
             monkeypatch.setattr(experiments, "_TRACE_ROWS", rows)
             assert trace_rule_experiment(**kwargs).to_json_dict()["statistics"] == want
+
+
+class TestTraceRows:
+    """The batch's composed gather, pinned to the constructor's rotation
+    stage on the whole seed."""
+
+    @pytest.mark.parametrize("depth1,depth2", [(7, 12), (5, 9), (0, 0)])
+    @pytest.mark.parametrize("config", [default_qutrit_config, zero_run_config])
+    def test_rows_are_a_prefix_of_the_pipeline(self, config, depth1, depth2):
+        qcfg = config()
+        d = qcfg.seed_string.digits
+        W = 3 ** (qcfg.n_max - 1)
+        rank, bits0 = _trace_sources(d, W, depth2)
+        grid1, grid2 = SampleGrid(depth1, 3), SampleGrid(depth2)
+        rng = make_rng(22)
+        e1s = rng.integers(0, grid1.modulus, size=10)
+        e2s = rng.integers(0, grid2.modulus, size=10)
+        want = [_qutrit_pipeline(d, PAdicRational(3, int(e1), depth1),
+                                 PAdicRational(2, int(e2), depth2))
+                for e1, e2 in zip(e1s, e2s)]
+        for P in (256, W):
+            rows = _trace_rows(d, rank, bits0, grid1, grid2, e1s, e2s, P)
+            assert rows.shape == (10, P)
+            for row, full in zip(rows, want):
+                assert np.array_equal(row, full[:P])
 
 
 class TestStage1Read:
@@ -696,6 +761,14 @@ class TestWeakReduction:
     def test_needs_a_walk(self):
         with pytest.raises(ValueError):
             weak_reduction_experiment(Fraction(1, 3), ensemble_size=0)
+
+    @pytest.mark.parametrize("walks", [1, 50])
+    def test_base3_seed_is_refused(self, monkeypatch, walks):
+        # the walk rotates and reduces the seed's digits as bits
+        self._refuse_reads(monkeypatch)
+        with pytest.raises(ValueError, match="needs a base-2 seed"):
+            weak_reduction_experiment(Fraction(1, 3), ensemble_size=walks, jitter_depth=3,
+                                      cfg=StateConfig(champernowne(3, 243), n_max=3))
 
     @staticmethod
     def _refuse_reads(monkeypatch):
@@ -1030,14 +1103,28 @@ class TestBatchedStep1:
                                   max_steps=50, cfg=cfg)
 
     def test_seed_with_a_tail_past_its_blocks_is_never_whole(self):
-        # a base-3 seed of 243 digits leaves three digits past the depth-3
+        # a seed of 243 digits leaves three digits past the depth-3
         # rotation's 4-digit blocks: the rotated string is its 240 whole-
-        # block digits, and the tail is never read
-        cfg = StateConfig(champernowne(3, 243), n_max=3)
-        thr = BinaryThreshold.from_angle(_angle_float(Fraction(1, 3)))
-        assert not np.isnan(_reduced_values(cfg.seed_string, 3, np.arange(8), thr)).all()
-        _assert_matches_reference(Fraction(1, 3), 100, jitter_depth=3, max_steps=30,
-                                  cfg=cfg)
+        # block digits, and the tail is never read.  A config refuses a
+        # base-2 seed off its blocks, so the reader and the walk take it bare
+        r0 = champernowne(2, 243)
+        blocks = r0.prefix(240)
+        th0 = _angle_float(Fraction(1, 3))
+        thr = BinaryThreshold.from_angle(th0)
+        rs = _reduced_values(r0, 3, np.arange(8), thr)
+        assert rs == [self._constructor_value(blocks, PAdicRational(2, m, 3), thr)
+                      for m in range(8)]
+
+        def walk(seed_string, m):
+            try:
+                res = weak_reduction_walk(th0, PAdicRational(2, m, 3), seed_string, 3, 1.0,
+                                          16.0, derive_seed(0, m), 30)
+            except NonConvergence:
+                return None
+            return res.trajectory, res.outcome.attractor_index, res.outcome.steps
+
+        for m in range(8):
+            assert walk(r0, m) == walk(blocks, m)
 
 
 class TestSeedInvariance:
