@@ -279,15 +279,17 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 # ---------------------------------------------------------------------------
 # three-level trace rule
 
-# samples per batch: a 64 x 256 int64 matrix of the first read is 128 KB,
-# and only the rows it leaves undecided read all 3^(n_max-1) places
+# samples per batch: the first read's 64 x 256 source places are int64
+# matrices of 128 KB and its rotated digits a uint8 one of 16 KB, and only
+# the rows it leaves undecided read all 3^(n_max-1) places
 _TRACE_ROWS = 64
 
 
 def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
                   whole: bool) -> np.ndarray:
-    """Leading digit of the three-level state on each row of ``rot``, an
-    int array of rotated prefixes (whole strings when ``whole``), read
+    """Leading digit of the three-level state on each row of ``rot``, a
+    digit matrix (one rotated prefix per row, whole strings when
+    ``whole``; uint8 from the pipeline and the batch), read
     off stage 1; -1 where the row does not decide it.  ``rank``, the
     running count of nonzero digits, counts them, looks each nonzero
     place's verdict up in the stage-1 keep mask of the nonzero digits

@@ -32,8 +32,12 @@ place adds 1 to the digit.  So omega_root(p, n)**m, for any m >= 0, has
 
 and order p^(n+1).  Rotations build no operator: ``_rotated_rows`` reads
 each rotated digit straight from this formula at the places a caller
-needs.  The dense operators serve only the operator algebra and are the
-references the formula is tested against.
+needs.  The odometer runs in narrow types and divides only the
+exponents, never the places: the reversal table and the sources are
+int32 and the shifts are in the narrowest unsigned type of the base.
+The dense operators serve only the operator algebra and are the
+references the formula is tested against; they hold int64, as every
+BlockOperator does.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .digits import DigitString, _add_mod, value_float
+from .digits import DigitString, _add_mod, _dtype_for_base, value_float
 from .errors import DegenerateStatistic, LengthNotDivisible
 
 __all__ = [
@@ -292,8 +296,9 @@ def apply(op: BlockOperator, s: DigitString) -> DigitString:
 
 @lru_cache(maxsize=64)
 def _digit_reversal(p: int, n: int) -> np.ndarray:
-    """rev[j]: the n base-p digits of the place index j in reverse order."""
-    j = np.arange(p ** n, dtype=np.int64)
+    """rev[j]: the n base-p digits of the place index j in reverse order,
+    as int32 (a table of 2^31 places could not be built anyway)."""
+    j = np.arange(p ** n, dtype=np.int32)
     rev = np.zeros_like(j)
     for _ in range(n):
         rev = rev * p + j % p
@@ -308,15 +313,22 @@ def _odometer(p: int, n: int, m, places=None) -> tuple[np.ndarray, np.ndarray]:
 
     ``m`` may be an integer array; it broadcasts against ``places``, so a
     column of exponents gives one row per power.  With m = hi * p^n + lo,
-    rev(j) - m borrows out of the block exactly when rev(j) < lo, so no
-    division runs over the places.
+    d = rev(j) - lo borrows out of the block exactly when d < 0, and the
+    wrap adds p^n back there: a mask when p^n is a power of two.  Only the
+    exponents are divided, so no division runs over the places; the
+    sources are int32 and the shifts are in ``_dtype_for_base(p)``.
     """
     rev = _digit_reversal(p, n)
     r = rev if places is None else rev[places]
     size = p ** n
-    hi, lo = np.divmod(m, size)
-    borrow = r < lo
-    return rev[r - lo + size * borrow], (hi + borrow) % p
+    hi, lo = divmod(m, size)
+    d = r - np.asarray(lo, dtype=np.int32)
+    borrow = d < 0
+    if size & (size - 1):
+        d += borrow * np.int32(size)
+    else:
+        d &= size - 1
+    return rev[d], _add_mod(np.asarray(hi % p, dtype=_dtype_for_base(p)), borrow, p)
 
 
 @lru_cache(maxsize=1024)

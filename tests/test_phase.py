@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitq.digits import DigitString, champernowne, degree_of_normality, phi_shift
+from digitq.digits import (DigitString, _dtype_for_base, champernowne, degree_of_normality,
+                           phi_shift)
 from digitq.errors import DegenerateStatistic, LengthNotDivisible
 from digitq.phase import (BlockOperator, PAdicRational, apply, chi, compose,
                           extend_to, identity_operator, lag_correlation,
                           omega_root, operator_pow, phase_rotate,
-                          rotation_operator, _pearson_lag1, _rotated_prefix,
-                          _rotated_rows)
+                          rotation_operator, _odometer, _pearson_lag1,
+                          _rotated_prefix, _rotated_rows, _rotated_sources)
 
 
 def rand_string(base, length, seed=0):
@@ -326,6 +327,67 @@ class TestRotatedRows:
             phase_rotate(champernowne(3, 30), PAdicRational(3, 1, 3))
         with pytest.raises(LengthNotDivisible):
             phase_rotate(champernowne(2, 96), PAdicRational(2, 3, 7))
+
+
+class TestOdometer:
+    """The odometer and its block-offset wrapper called directly at the
+    batch shapes, a column of exponents against a matrix of places,
+    pinned element by element to powers of the recursive root tower."""
+
+    @staticmethod
+    def exponents(p, n):
+        # 0, the wrap at p^n, and exponents at and past p^(n+1), where the
+        # shift reads hi mod p rather than hi
+        size = p ** n
+        return np.array(sorted({0, 1, p, size - 1, size, size + 1, 2 * size + 3,
+                                p * size - 1, p * size, p * size + 1,
+                                (p + 1) * size + p, p * p * size + 2}))
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (0, 1, 3)]
+                             + [(2, 5)])
+    def test_every_element_matches_the_tower(self, p, n):
+        ms = self.exponents(p, n)
+        places = np.random.default_rng(10 * p + n).integers(0, p ** n, (ms.size, 40))
+        src, shift = _odometer(p, n, ms[:, None], places)
+        assert src.shape == shift.shape == places.shape
+        assert src.dtype == np.int32 and shift.dtype == _dtype_for_base(p)
+        root = omega_root(p, n)
+        for m, row, s, h in zip(ms, places, src, shift):
+            op = operator_pow(root, int(m))
+            assert np.array_equal(s, op.perm[row]), m
+            assert np.array_equal(h, op.shift[row]), m
+            # a scalar exponent with no places gives the whole block
+            s1, h1 = _odometer(p, n, int(m))
+            assert np.array_equal(s1, op.perm) and np.array_equal(h1, op.shift), m
+
+    @pytest.mark.parametrize("p,n,m", [(2, 1, 1), (2, 4, 3), (2, 7, 77), (3, 2, 5),
+                                       (3, 4, 40), (5, 3, 17)])
+    def test_rotation_operator_hashes_as_the_tower(self, p, n, m):
+        # __hash__ reads the bytes of perm and shift: an int32 or uint8 leak
+        # into BlockOperator would split equal operators across hashes
+        op = rotation_operator(PAdicRational(p, m, n))
+        want = operator_pow(omega_root(p, n - 1), m)
+        assert op.perm.dtype == op.shift.dtype == np.int64
+        assert op == want and hash(op) == hash(want)
+
+    @pytest.mark.parametrize("p,depth", [(2, 1), (2, 6), (3, 0), (3, 4), (5, 3)])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_rotated_sources_across_blocks(self, p, depth, dtype):
+        # a place matrix over five blocks, as rank[idx1] in the trace batch
+        block = p ** max(depth - 1, 0)
+        nums = np.array(sorted({0, 1, p, p ** depth - 1, p ** depth + 1, 3 * p ** depth + 2}))
+        rng = np.random.default_rng(p + depth)
+        places = np.sort(rng.integers(0, 5 * block, (nums.size, 30)), axis=1).astype(dtype)
+        assert np.unique(places // block).size > 3 or block == 1
+        src, shift = _rotated_sources(p, depth, nums[:, None], places)
+        root = omega_root(p, max(depth - 1, 0))
+        for m, row, s, h in zip(nums, places, src, shift):
+            s1, h1 = _rotated_sources(p, depth, int(m), row)
+            assert np.array_equal(s, s1) and np.array_equal(h, h1), m
+            op = extend_to(operator_pow(root, int(m)) if depth else identity_operator(p),
+                           5 * block)
+            assert np.array_equal(s, op.perm[row]), m
+            assert np.array_equal(h, op.shift[row]), m
 
 
 class TestLagCorrelation:
