@@ -20,7 +20,11 @@ trace rule read prefixes.  The windows come from the string packed into
 big-endian 64-bit words: the 64 positions inside a word shift it and pull
 in the top bits of the next word, all in uint64 arithmetic.  Given a
 matrix, the kernel reads each row as its own string, so the grid sweeps'
-leading window of every rotated seed is its one-window row case.
+leading window of every rotated seed is its one-window row case.  A
+whole-string comparison runs the same kernel in cache-sized chunks of
+places (``_suffix_ge_mask``), each read with the 63 digits after it that
+its last windows reach, and the reductions gather their survivors with
+``compress``.
 
 A useful consequence, used throughout the experiments: the first
 surviving digit is lo exactly when the whole-string value is below t
@@ -248,6 +252,9 @@ class ReductionOutcome:
 # ---------------------------------------------------------------------------
 # suffix comparison kernel
 
+_MASK_PLACES = 1 << 15  # places one window read of a whole-string comparison holds
+
+
 def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
     """64-bit suffix windows w_j = .b_j ... b_(j+63) * 2^64, j < length, of
     each row of ``bits`` (0/1 digits, bool or integer; digits past a row's
@@ -271,8 +278,19 @@ def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
 
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     """Boolean mask: suffix at position j (zero padded) >= threshold, of
-    each row of ``bits01``."""
-    return thr.at_or_below(_window_u64(bits01, bits01.shape[-1]))
+    each row of ``bits01``.
+
+    The last axis is read _MASK_PLACES places at a time, each chunk with
+    the THRESHOLD_BITS - 1 digits after it that its last windows reach, so
+    no window array longer than one chunk is ever built.
+    """
+    n = bits01.shape[-1]
+    out = np.empty(bits01.shape, dtype=bool)
+    for lo in range(0, n, _MASK_PLACES):
+        k = min(_MASK_PLACES, n - lo)
+        out[..., lo:lo + k] = thr.at_or_below(
+            _window_u64(bits01[..., lo:lo + k + THRESHOLD_BITS - 1], k))
+    return out
 
 
 def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
@@ -324,14 +342,22 @@ def partial_reduce(s: DigitString, theta: AngleLike) -> tuple[DigitString, Delet
     comparison on such a stub is statistically trustworthy.  Raises
     EmptyResult when nothing survives.
     """
+    return _compress(s, ~_partial_keep(s, theta))
+
+
+def _partial_keep(s: DigitString, theta: AngleLike) -> np.ndarray:
+    """Keep mask of ``partial_reduce``, after its checks: the one place
+    that validates a partial reduction, for callers that need no log."""
     d = s.digits
     if (d > 1).any():
         raise ValueError("string contains digits other than 0 and 1")
     if len(s) < K_GUARD:
         raise SuffixTooShort(
             f"{len(s)} digits is below the {K_GUARD}-digit comparison guard")
-    thr = BinaryThreshold.from_angle(theta)
-    return _compress(s, _deletion_mask(d == 1, thr))
+    keep = ~_deletion_mask(d == 1, BinaryThreshold.from_angle(theta))
+    if not keep.any():
+        raise EmptyResult("deletion would remove every digit")
+    return keep
 
 
 def reduce_Rj(s: DigitString, j: int) -> ReductionOutcome:
@@ -387,7 +413,7 @@ def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
             d = _rotated_rows(r0.digits, 2, depth, nums[part, None], np.arange(L))
             keep, decided = _decided_keep(d == 1, L, whole, thr)
             for i, digs, kept in zip(part, d[:, :decided], keep[:, :decided]):
-                survivors = digs[kept]
+                survivors = digs.compress(kept)
                 if survivors.size >= want or whole:
                     if survivors.size == 0:
                         raise EmptyResult("no digit survives the reduction")

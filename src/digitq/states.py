@@ -27,8 +27,8 @@ from .digits import DigitString, champernowne, phi_shift, relabel
 from .errors import EmptyResult, NotAnEigenstate, OffGrid, SuffixTooShort
 from .phase import PAdicRational, _rotated_prefix, phase_rotate
 from .reduction import (AngleLike, BinaryThreshold, K_GUARD, ReductionOutcome,
-                        _deletion_mask, biased_quantile_threshold,
-                        partial_reduce, reduce_compound)
+                        _deletion_mask, _partial_keep,
+                        biased_quantile_threshold, reduce_compound)
 
 __all__ = [
     "BlochPoint",
@@ -169,8 +169,8 @@ def qubit_state(cfg: StateConfig, point: BlochPoint) -> DigitString:
         raise ValueError("qubit_state needs a base-2 seed")
     q = _padic_turns(point.lam, 2, cfg.n_max)
     rotated = phase_rotate(cfg.seed_string, q)
-    reduced, _ = partial_reduce(rotated, point.theta)
-    return reduced
+    keep = _partial_keep(rotated, point.theta)
+    return DigitString(2, rotated.digits.compress(keep), _validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def _qutrit_pipeline(d: np.ndarray, q1: PAdicRational,
     bits + 1 to their places, then the string up to the last of them
     rotates by q1.  Blocks rotate independently, so a seed prefix yields a
     prefix of the result on the whole seed."""
-    nz = np.flatnonzero(d)
+    nz = np.flatnonzero(d != 0)
     if nz.size == 0:
         raise EmptyResult("no nonzero digit to rotate")
     bits = _rotated_prefix(d[nz] - 1, q2, nz.size)
@@ -249,20 +249,23 @@ def _qutrit_reduce(d: np.ndarray, t1: BinaryThreshold,
     deletes over the surviving string by comparing suffixes of the
     zero/nonzero indicator against t1.
     """
-    nz_idx = np.flatnonzero(d != 0)
+    nz = d != 0
+    nz_idx = np.flatnonzero(nz)
     if nz_idx.size == 0:
         raise EmptyResult("no nonzero digit to reduce")
     if nz_idx.size < K_GUARD:
         raise SuffixTooShort(
             f"{nz_idx.size} nonzero digits is below the {K_GUARD}-digit guard")
-    stage1 = np.delete(d, nz_idx[_deletion_mask(d[nz_idx] == 2, t2)])
+    keep = ~nz
+    keep[nz_idx] = ~_deletion_mask(d.take(nz_idx) == 2, t2)
+    stage1 = d.compress(keep)
     if stage1.size == 0:
         raise EmptyResult("stage-1 reduction removed every digit")
     if stage1.size < K_GUARD:
         raise SuffixTooShort(
             f"{stage1.size} digits after stage 1 is below the {K_GUARD}-digit guard")
 
-    final = stage1[~_deletion_mask(stage1 != 0, t1)]
+    final = stage1.compress(~_deletion_mask(stage1 != 0, t1))
     if final.size == 0:
         raise EmptyResult("stage-2 reduction removed every digit")
     return DigitString(3, final, _validate=False)

@@ -131,6 +131,81 @@ class TestWindowKernel:
             assert w.dtype == np.uint64 and w.tolist() == [0]
 
 
+def one_shot_ge(bits, thr):
+    """The suffix comparison as one window read of the whole last axis."""
+    return thr.at_or_below(_window_u64(bits, bits.shape[-1]))
+
+
+def mask_thresholds(rng, windows):
+    """0, 1/2, exact one, two random thresholds, and the window at the last
+    place of the first chunk: a chunk read that stops one digit short of
+    its last window's reach reads that window one below itself."""
+    thrs = [BinaryThreshold(0), BinaryThreshold(1 << 63), BinaryThreshold(1 << 64),
+            random_threshold(rng), random_threshold(rng)]
+    seam = reduction._MASK_PLACES - 1
+    if windows.shape[-1] > seam:
+        thrs += [BinaryThreshold(int(t)) for t in np.unique(windows[..., seam])]
+    return thrs
+
+
+class TestChunkedSuffixMask:
+    """_suffix_ge_mask reads the last axis in chunks of _MASK_PLACES;
+    pinned to the one-shot read and, on short strings, to exact Fractions."""
+
+    CHUNK = reduction._MASK_PLACES
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 63, 64, 65, CHUNK + 5])
+    def test_one_row_matches_the_one_shot_read(self, extra):
+        n = self.CHUNK + extra
+        rng = np.random.default_rng(n)
+        for bits in (rng.integers(0, 2, n).astype(bool), np.ones(n, dtype=bool)):
+            w = _window_u64(bits, n)
+            for thr in mask_thresholds(rng, w):
+                got = reduction._suffix_ge_mask(bits, thr)
+                assert got.shape == bits.shape and got.dtype == bool
+                assert np.array_equal(got, thr.at_or_below(w))
+
+    @pytest.mark.parametrize("extra", [1, 63, 64, 65, CHUNK + 5])
+    def test_matrix_rows_match_the_one_shot_read(self, extra):
+        n = self.CHUNK + extra
+        rng = np.random.default_rng(n + 1)
+        rows = rng.integers(0, 2, (3, n)).astype(np.uint8)
+        rows[1] = 1
+        w = _window_u64(rows, n)
+        for thr in mask_thresholds(rng, w):
+            got = reduction._suffix_ge_mask(rows, thr)
+            assert got.shape == rows.shape
+            assert np.array_equal(got, thr.at_or_below(w))
+            for bits, row in zip(rows, got):
+                assert np.array_equal(row, reduction._suffix_ge_mask(bits, thr))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 63, 64, 65])
+    def test_small_chunks_against_brute_force(self, monkeypatch, chunk):
+        monkeypatch.setattr(reduction, "_MASK_PLACES", chunk)
+        rng = np.random.default_rng(chunk)
+        strings = [DigitString(2, rng.integers(0, 2, 2 * 65 + 5)),
+                   DigitString(2, np.ones(2 * 65 + 5, dtype=np.uint8))]
+        for s in strings:
+            for thr in mask_thresholds(rng, _window_u64(s.digits, len(s))):
+                want = brute_partial_reduce(s, thr.value)
+                hi = s.digits == 1
+                assert np.array_equal(reduction._suffix_ge_mask(hi, thr),
+                                      one_shot_ge(hi, thr))
+                if not want:
+                    with pytest.raises(EmptyResult):
+                        partial_reduce(s, thr)
+                else:
+                    assert partial_reduce(s, thr)[0].digits.tolist() == want
+
+    def test_reads_of_one_chunk_or_less_are_the_one_shot_read(self):
+        rng = np.random.default_rng(5)
+        for shape in [(0,), (1,), (448,), (32, 448), (4, self.CHUNK)]:
+            bits = rng.integers(0, 2, shape).astype(bool)
+            for thr in mask_thresholds(rng, _window_u64(bits, shape[-1])):
+                assert np.array_equal(reduction._suffix_ge_mask(bits, thr),
+                                      one_shot_ge(bits, thr))
+
+
 class TestBinaryThreshold:
     def test_half_is_exact(self):
         t = BinaryThreshold.from_angle(Fraction(1, 2))

@@ -10,15 +10,54 @@ from hypothesis import given, settings, strategies as st
 from digitq.digits import (DigitString, champernowne, degree_of_normality,
                            phi_shift, relabel, value)
 from digitq.errors import (EmptyResult, LengthNotDivisible, NotAnEigenstate,
-                           OffGrid)
+                           OffGrid, SuffixTooShort)
 from digitq.phase import PAdicRational, apply, omega_root, phase_rotate
-from digitq.reduction import partial_reduce, project, reduce_compound
+from digitq.reduction import (K_GUARD, BinaryThreshold, _window_u64,
+                              partial_reduce, project, reduce_compound)
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
+                           _qutrit_pipeline, _qutrit_reduce,
                            beamsplitter_pair, blocked_mz_output, composite,
                            decompose, default_config, default_qutrit_config,
                            full_mz_output, hadamard_equiv, measurement_coupling,
                            qubit_state, qutrit_state, qutrit_thresholds,
                            schrodinger_evolve, subsystem, u_n_gate)
+
+THETA_STAR = 2 * math.acos(1 / math.sqrt(3))
+
+
+def one_shot_deletion(hi, thr):
+    """The two-symbol deletion mask from one window read of the whole string."""
+    return hi ^ thr.at_or_below(_window_u64(hi, hi.size))
+
+
+def boolean_index_qutrit_reduce(d, t1, t2):
+    """Oracle: the two-stage reduction as np.delete of the stage-1 deletions
+    and a boolean index of the stage-2 survivors, with the same checks."""
+    nz_idx = np.flatnonzero(d != 0)
+    if nz_idx.size == 0:
+        raise EmptyResult("no nonzero digit to reduce")
+    if nz_idx.size < K_GUARD:
+        raise SuffixTooShort(
+            f"{nz_idx.size} nonzero digits is below the {K_GUARD}-digit guard")
+    stage1 = np.delete(d, nz_idx[one_shot_deletion(d[nz_idx] == 2, t2)])
+    if stage1.size == 0:
+        raise EmptyResult("stage-1 reduction removed every digit")
+    if stage1.size < K_GUARD:
+        raise SuffixTooShort(
+            f"{stage1.size} digits after stage 1 is below the {K_GUARD}-digit guard")
+    final = stage1[~one_shot_deletion(stage1 != 0, t1)]
+    if final.size == 0:
+        raise EmptyResult("stage-2 reduction removed every digit")
+    return final
+
+
+def outcome(f, *args):
+    """The digits f returns, or the type and message of the error it raises."""
+    try:
+        out = f(*args)
+    except (EmptyResult, SuffixTooShort) as e:
+        return type(e), str(e)
+    return getattr(out, "digits", out).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +117,27 @@ class TestQubitState:
         expected, _ = partial_reduce(phase_rotate(cfg.seed_string, q),
                                      Fraction(1, 3))
         assert qubit_state(cfg, p) == expected
+
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(1, 2), Fraction(1),
+                                       Fraction(5, 16), 1.1])
+    def test_equals_partial_reduce_of_the_rotated_seed(self, cfg, theta):
+        for q in (PAdicRational(2, 0, 0), PAdicRational(2, 1234, 12)):
+            expected, _ = partial_reduce(phase_rotate(cfg.seed_string, q), theta)
+            assert qubit_state(cfg, BlochPoint(theta, q)) == expected
+
+    def test_shares_partial_reduce_checks(self):
+        # an 8-digit seed is below the comparison guard, and a zero seed at
+        # theta = pi keeps nothing: both paths raise the same error
+        short = StateConfig(champernowne(2, 8), n_max=1)
+        zero = StateConfig(DigitString.constant(2, 0, 64), n_max=2)
+        for c, theta, q, err in ((short, Fraction(1, 3), PAdicRational(2, 1, 1), SuffixTooShort),
+                                 (short, Fraction(1, 2), PAdicRational(2, 0, 0), SuffixTooShort),
+                                 (zero, Fraction(1), PAdicRational(2, 0, 0), EmptyResult)):
+            with pytest.raises(err) as by_state:
+                qubit_state(c, BlochPoint(theta, q))
+            with pytest.raises(err) as by_reduce:
+                partial_reduce(phase_rotate(c.seed_string, q), theta)
+            assert str(by_state.value) == str(by_reduce.value)
 
     def test_grid_contract_property(self, cfg):
         rng = np.random.default_rng(0)
@@ -152,6 +212,45 @@ class TestQutritState:
             2 * math.acos(1 / math.sqrt(3)), Fraction(1, 2),
             PAdicRational(3, 5, 4), PAdicRational(2, 9, 6)))
         assert np.abs(degree_of_normality(s) - 1 / 3).max() < 0.04
+
+
+class TestQutritReduce:
+    """_qutrit_reduce gathers its survivors with compress; pinned to the
+    np.delete and boolean-index stages it replaced."""
+
+    @pytest.mark.parametrize("t1,t2", [
+        qutrit_thresholds(Fraction(1, 3), Fraction(1, 4)),
+        qutrit_thresholds(Fraction(5, 16), Fraction(11, 16)),
+        qutrit_thresholds(THETA_STAR, Fraction(1, 2)),  # t2 exactly 1/2
+        (BinaryThreshold(1 << 63), BinaryThreshold.from_angle(Fraction(2, 3))),
+        (BinaryThreshold(1 << 63), BinaryThreshold(1 << 63)),
+    ])
+    def test_default_seed_matches_the_boolean_index_form(self, qcfg, t1, t2):
+        seed = qcfg.seed_string.digits
+        rotated = _qutrit_pipeline(seed, PAdicRational(3, 100, 7), PAdicRational(2, 77, 12))
+        for d in (seed, rotated):
+            got = _qutrit_reduce(d, t1, t2)
+            assert got.base == 3
+            assert got.digits.dtype == d.dtype
+            assert np.array_equal(got.digits, boolean_index_qutrit_reduce(d, t1, t2))
+
+    def test_random_arrays_match_including_errors(self):
+        rng = np.random.default_rng(3)
+        laws = [(1 / 3, 1 / 3, 1 / 3), (0, 0.5, 0.5), (0, 1, 0), (0, 0, 1),
+                (1, 0, 0), (0.9, 0.05, 0.05)]
+        seen = set()
+        for _ in range(600):
+            n = int(rng.choice([0, 5, 15, 16, 17, 40, 200]))
+            d = rng.choice(3, size=n, p=laws[int(rng.integers(len(laws)))]).astype(np.uint8)
+            t1, t2 = (BinaryThreshold(int(rng.choice([0, 1 << 63, 1 << 64,
+                                                      int(rng.integers(1, 1 << 62)) << 2])))
+                      for _ in range(2))
+            want = outcome(boolean_index_qutrit_reduce, d, t1, t2)
+            assert outcome(_qutrit_reduce, d, t1, t2) == want
+            if isinstance(want, tuple):
+                seen.add(want[1].split(" ", 1)[1] if want[1][0].isdigit() else want[1])
+        # every check of the two stages fired at least once
+        assert len(seen) == 5, seen
 
 
 class TestCompositeAndSubsystem:
