@@ -20,20 +20,21 @@ Every rotation on these paths is read from the odometer
 (``phase._rotated_rows``) at the places it needs; no dense operator is
 built.  The trace rule reads the leading digit off one window of stage 1
 by the first-survivor lemma in one row-wise read, ``_stage1_leads``,
-for a chunk of samples at once: one composed gather (``_trace_rows``,
-the triadic odometer, then the dyadic one at each nonzero digit's rank)
+for many samples at once: one composed gather (``_trace_rows``, the
+triadic odometer, then the dyadic one at each nonzero digit's rank)
 gives the first 256 places of every rotated seed as the rows of a
 matrix; the read looks each verdict up by rank and gathers only the
 window's 64 stage-1 digits.  Only the rows 256 places leave undecided
-read again, at 3^(n_max-1) places, and the rare row those leave
-undecided goes through the per-sample reader, the same read on one row
-of a growing slice of the seed's digits rotated by the constructor's
-own rotation stage.  Unit tests pin the gather to that rotation stage,
-the batch to the per-sample reader and it to the constructor,
-``qutrit_state``, whose ``_qutrit_reduce`` is the read's oracle.  Dyadic
-grid sweeps take a column of numerators, so the leading 64 digits of
-every rotated seed come from a single gather, and polarization,
+read again, all of them together, at 3^(n_max-1) places, and the rare
+row those leave undecided goes through the per-sample reader, the same
+read on one row of a growing slice of the seed's digits rotated by the
+constructor's own rotation stage.  Unit tests pin the gather to that
+rotation stage, the batch to the per-sample reader and it to the
+constructor, ``qutrit_state``, whose ``_qutrit_reduce`` is the read's
+oracle.  Dyadic grid sweeps take a column of numerators, so the leading
+64 digits of many rotated seeds come from one gather, and polarization,
 interference and seed invariance read nothing but those cached windows.
+Every read of many rows goes in ``reduction._row_parts``.
 The EPR correlation is an exact digit sum.  Weak reduction reads every
 walk's first step at once: step 1 depends only on theta0 and the start
 longitude, so one read over the distinct start numerators
@@ -63,7 +64,7 @@ from .phase import (PAdicRational, _rotated_rows, _rotated_sources, apply as app
                     extend_to, omega_root, operator_pow, phase_rotate)
 from .reduction import (K_GUARD, THRESHOLD_BITS, BinaryThreshold, _angle_float,
                         _angle_repr, _check_drift, _decided_keep, _euler_step,
-                        _reduced_values, _window_u64, weak_reduction_walk)
+                        _reduced_values, _row_parts, _window_u64, weak_reduction_walk)
 from .rng import derive_seed, make_rng
 from .states import (StateConfig, _qutrit_pipeline, default_config,
                      default_qutrit_config, qutrit_thresholds)
@@ -205,12 +206,14 @@ def _grid_leading_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     numerator on the exhaustive base-2 grid of the given depth.
 
     The numerators form a column, so one ``_rotated_rows`` gather of the
-    first min(64, L) places gives every window at once, zero-padded past
-    a short seed's end, also when the blocks are shorter than 64 digits.
+    first min(64, L) places gives the windows of a part of the grid
+    (``reduction._row_parts``), zero-padded past a short seed's end, also
+    when the blocks are shorter than 64 digits.
     """
-    bits = _rotated_rows(seed_string.digits, 2, depth, np.arange(1 << depth)[:, None],
-                         np.arange(min(64, len(seed_string))))
-    return _window_u64(bits, 1)[:, 0]
+    places = np.arange(min(64, len(seed_string)))
+    return np.concatenate([
+        _window_u64(_rotated_rows(seed_string.digits, 2, depth, part[:, None], places), 1)[:, 0]
+        for part in _row_parts(np.arange(1 << depth), places.size)])
 
 
 @lru_cache(maxsize=8)
@@ -222,10 +225,10 @@ def _cached_windows(seed_string: DigitString, depth: int) -> np.ndarray:
     return windows
 
 
-def _check_base2_seed(cfg: StateConfig, experiment: str) -> None:
-    """Dyadic grid sweeps read the seed's digits as bits."""
-    if cfg.seed_string.base != 2:
-        raise ValueError(f"{experiment} needs a base-2 seed")
+def _check_seed_base(cfg: StateConfig, base: int, experiment: str) -> None:
+    """The seed's digits must be in the base the experiment rotates in."""
+    if cfg.seed_string.base != base:
+        raise ValueError(f"{experiment} needs a base-{base} seed")
 
 
 def _check_grid(grid: SampleGrid, base: int, n_max: int) -> None:
@@ -264,7 +267,7 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
                             ) -> ExperimentReport:
     """Frequency of reduction to the north pole versus cos^2(theta/2)."""
     cfg = cfg or default_config()
-    _check_base2_seed(cfg, "polarization")
+    _check_seed_base(cfg, 2, "polarization")
     _check_grid(grid, 2, cfg.n_max)
     t0 = time.perf_counter()
     p = cos(_angle_float(theta) / 2) ** 2
@@ -278,12 +281,6 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 
 # ---------------------------------------------------------------------------
 # three-level trace rule
-
-# samples per batch: the first read's 64 x 256 source places are int64
-# matrices of 128 KB and its rotated digits a uint8 one of 16 KB, and only
-# the rows it leaves undecided read all 3^(n_max-1) places
-_TRACE_ROWS = 64
-
 
 def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
                   whole: bool) -> np.ndarray:
@@ -373,18 +370,19 @@ def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThre
                            grid1: SampleGrid, grid2: SampleGrid, e1s: np.ndarray,
                            e2s: np.ndarray) -> np.ndarray:
     """``_qutrit_leading_digit`` at every sampled pair of numerators
-    (e1s[i]/3^depth1, e2s[i]/2^depth2), _TRACE_ROWS rows at a time.
+    (e1s[i]/3^depth1, e2s[i]/2^depth2), one row per pair.
 
     Blocks rotate independently, so the first W = 3^(n_max-1) places of a
     rotated seed come from its first W digits and the first whole q2
     blocks of its nonzero digits.  Both gathers run at the grid depths: a
     numerator divisible by the base reads the same digits as its reduced
-    form one level down.  Each row first reads min(4 * THRESHOLD_BITS, W)
+    form one level down.  Every row first reads min(4 * THRESHOLD_BITS, W)
     places (``_trace_rows``); a prefix's lead holds for every longer
-    prefix (``reduction._decided_keep``), so only the rows it leaves
-    undecided read again, at all W places.  Rows still undecided go
-    through ``_qutrit_leading_digit``, and so does every row when the
-    seed holds no nonzero digit past the q2 blocks that cover W.
+    prefix (``reduction._decided_keep``), so only the rows of the call it
+    leaves undecided read again, at all W places.  Each read goes in
+    ``reduction._row_parts``.  Rows still undecided go through
+    ``_qutrit_leading_digit``, and so does every row when the seed holds
+    no nonzero digit past the q2 blocks that cover W.
     """
     d = cfg.seed_string.digits
     W = 3 ** max(cfg.n_max - 1, 0)
@@ -394,16 +392,14 @@ def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThre
         rank, bits0 = sources
 
         def read(rows: np.ndarray, places: int) -> None:
-            rot = _trace_rows(d, rank, bits0, grid1, grid2, e1s[rows], e2s[rows], places)
-            leads[rows] = _stage1_leads(rot, t1, t2, False)
+            for part in _row_parts(rows, places):
+                rot = _trace_rows(d, rank, bits0, grid1, grid2, e1s[part], e2s[part], places)
+                leads[part] = _stage1_leads(rot, t1, t2, False)
 
         first = min(4 * THRESHOLD_BITS, W)
-        for lo in range(0, e1s.size, _TRACE_ROWS):
-            rows = np.arange(lo, min(lo + _TRACE_ROWS, e1s.size))
-            read(rows, first)
-            again = rows[leads[rows] < 0]
-            if again.size and first < W:
-                read(again, W)
+        read(np.arange(e1s.size), first)
+        if first < W:
+            read(np.flatnonzero(leads < 0), W)
     for i in np.flatnonzero(leads < 0):
         leads[i] = _qutrit_leading_digit(cfg, t1, t2,
                                          PAdicRational(3, int(e1s[i]), grid1.depth),
@@ -427,13 +423,15 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
     (triadic, dyadic) longitude pairs versus the trace rule.
 
     The samples' leading digits come from ``_qutrit_leading_digits``: one
-    row per sample, _TRACE_ROWS rows at a time, read at 256 places and,
-    where those leave the digit undecided, at 3^(n_max-1); the per-sample
-    ``_qutrit_leading_digit`` is the fallback for rows the batch still
-    leaves undecided, so the counts are those of the per-sample reader."""
+    row per sample, every row read at 256 places and the rows those leave
+    undecided at 3^(n_max-1); the per-sample ``_qutrit_leading_digit`` is
+    the fallback for rows the batch still leaves undecided, so the counts
+    are those of the per-sample reader.  A seed that is not base 3 is
+    refused before any read."""
     if n_samples < 1:
         raise ValueError("the trace rule needs at least one sample")
     cfg = cfg or default_qutrit_config()
+    _check_seed_base(cfg, 3, "trace rule")
     _check_grid(grid1, 3, cfg.n_max)
     _check_grid(grid2, 2, cfg.dyadic_depth)
     t0 = time.perf_counter()
@@ -585,7 +583,7 @@ def interference_experiment(grid: SampleGrid, cfg: Optional[StateConfig] = None,
     reported as 0 for every seed string.
     """
     cfg = cfg or default_config()
-    _check_base2_seed(cfg, "interference")
+    _check_seed_base(cfg, 2, "interference")
     _check_grid(grid, 2, cfg.n_max)
     t0 = time.perf_counter()
     n = grid.modulus
@@ -647,7 +645,7 @@ def weak_reduction_experiment(theta0, ensemble_size: int = 2000,
     th0 = _angle_float(theta0)
     _check_drift(th0, alpha, dt)
     cfg = cfg or default_config()
-    _check_base2_seed(cfg, "weak reduction")
+    _check_seed_base(cfg, 2, "weak reduction")
     _check_grid(SampleGrid(depth=jitter_depth), 2, cfg.n_max)
     t0 = time.perf_counter()
     stuck = 0
@@ -712,14 +710,14 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
     """
     t0 = time.perf_counter()
     cfg_main = cfg_main or default_config()
-    _check_base2_seed(cfg_main, "seed invariance")
+    _check_seed_base(cfg_main, 2, "seed invariance")
     if negative_control:
         cfg_alt = StateConfig(DigitString.constant(2, 0, len(cfg_main.seed_string)),
                               n_max=cfg_main.n_max)
     elif cfg_alt is None:
         cfg_alt = StateConfig(concatenated_squares(2, len(cfg_main.seed_string)),
                               n_max=cfg_main.n_max)
-    _check_base2_seed(cfg_alt, "seed invariance")
+    _check_seed_base(cfg_alt, 2, "seed invariance")
     grid = SampleGrid(depth=10)
     _check_grid(grid, 2, cfg_main.n_max)
     _check_grid(grid, 2, cfg_alt.n_max)

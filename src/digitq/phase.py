@@ -363,24 +363,21 @@ def _rotated_sources(p: int, depth: int, numerators,
 
 def _rotated_rows(digits: np.ndarray, p: int, depth: int, numerators,
                   places: np.ndarray) -> np.ndarray:
-    """Digits at ``places`` of the base-p rows rotated by m/p^depth of a
-    turn, in one odometer gather (``_rotated_sources``).  A column of
-    ``numerators`` gives one row per numerator: of the one string
-    ``digits`` when it is 1-D, and of its own row of ``digits`` when that
-    is a matrix with one row per numerator."""
+    """Digits at ``places`` of base-p strings rotated by m/p^depth of a
+    turn, in one odometer gather (``_rotated_sources``) along the last
+    axis: either the one string ``digits`` (1-D) with a column of
+    ``numerators``, one row per numerator, or every row of a matrix
+    ``digits`` with one scalar numerator."""
     idx, shift = _rotated_sources(p, depth, numerators, places)
-    if digits.ndim > 1 and idx.ndim > 1:
-        return _add_mod(np.take_along_axis(digits, idx, axis=-1), shift, p)
     return _add_mod(np.take(digits, idx, axis=-1), shift, p)
 
 
-def _rotated_prefix(digits: np.ndarray, q: PAdicRational, n_digits: int) -> np.ndarray:
-    """A prefix of at least n_digits of ``digits`` rotated by q, or their
-    whole-block part rotated when shorter.  Blocks transform independently,
-    so the first ceil(n/B)*B digits, the rows of one gather, give an exact
-    prefix of the full rotation without touching the rest of the string."""
+def _rotated_prefix(digits: np.ndarray, q: PAdicRational) -> np.ndarray:
+    """The whole-block part of ``digits`` rotated by q.  Blocks transform
+    independently, so its blocks, the rows of one gather, give an exact
+    prefix of the rotation of any longer string."""
     block = q.base ** max(q.depth - 1, 0)
-    n = min(digits.size - digits.size % block, -(-n_digits // block) * block)
+    n = digits.size - digits.size % block
     if n == 0:
         raise LengthNotDivisible(f"string length {digits.size} is below one block of {block}")
     rows = digits[:n].reshape(-1, block)
@@ -401,7 +398,7 @@ def phase_rotate(s: DigitString, q: PAdicRational) -> DigitString:
     block = q.base ** max(q.depth - 1, 0)
     if len(s) % block:
         raise LengthNotDivisible(f"length {len(s)} is not a multiple of block size {block}")
-    return DigitString(s.base, _rotated_prefix(s.digits, q, len(s)), _validate=False)
+    return DigitString(s.base, _rotated_prefix(s.digits, q), _validate=False)
 
 
 def _pearson_lag1(values: np.ndarray) -> float:

@@ -20,11 +20,12 @@ trace rule read prefixes.  The windows come from the string packed into
 big-endian 64-bit words: the 64 positions inside a word shift it and pull
 in the top bits of the next word, all in uint64 arithmetic.  Given a
 matrix, the kernel reads each row as its own string, so the grid sweeps'
-leading window of every rotated seed is its one-window row case.  A
-whole-string comparison runs the same kernel in cache-sized chunks of
-places (``_suffix_ge_mask``), each read with the 63 digits after it that
-its last windows reach, and the reductions gather their survivors with
-``compress``.
+leading window of every rotated seed is its one-window row case.  One
+place budget, _READ_PLACES, bounds every vectorized read: a whole-string
+comparison runs the kernel on chunks of that many places, each with the
+63 digits after it that its last windows reach (``_suffix_ge_mask``), and
+a read of many rows (the walk's, the trace rule's, a grid sweep's) goes
+in parts (``_row_parts``).  Survivors are gathered with ``compress``.
 
 A useful consequence, used throughout the experiments: the first
 surviving digit is lo exactly when the whole-string value is below t
@@ -252,7 +253,14 @@ class ReductionOutcome:
 # ---------------------------------------------------------------------------
 # suffix comparison kernel
 
-_MASK_PLACES = 1 << 15  # places one window read of a whole-string comparison holds
+_READ_PLACES = 1 << 15  # places one vectorized read holds, or one longer row
+
+
+def _row_parts(rows, places: int):
+    """``rows`` in consecutive parts of at most _READ_PLACES // places rows
+    of ``places`` places each, and at least one row."""
+    step = max(_READ_PLACES // places, 1)
+    return [rows[lo:lo + step] for lo in range(0, len(rows), step)]
 
 
 def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
@@ -280,14 +288,14 @@ def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     """Boolean mask: suffix at position j (zero padded) >= threshold, of
     each row of ``bits01``.
 
-    The last axis is read _MASK_PLACES places at a time, each chunk with
+    The last axis is read _READ_PLACES places at a time, each chunk with
     the THRESHOLD_BITS - 1 digits after it that its last windows reach, so
     no window array longer than one chunk is ever built.
     """
     n = bits01.shape[-1]
     out = np.empty(bits01.shape, dtype=bool)
-    for lo in range(0, n, _MASK_PLACES):
-        k = min(_MASK_PLACES, n - lo)
+    for lo in range(0, n, _READ_PLACES):
+        k = min(_READ_PLACES, n - lo)
         out[..., lo:lo + k] = thr.at_or_below(
             _window_u64(bits01[..., lo:lo + k + THRESHOLD_BITS - 1], k))
     return out
@@ -380,9 +388,6 @@ def reduce_compound(s: DigitString) -> ReductionOutcome:
 # ---------------------------------------------------------------------------
 # fast prefix evaluation (every walk step and the batched step 1 read here)
 
-_READ_PLACES = 32 * 448  # places of uint8 digits one gather holds
-
-
 def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
                     thr: BinaryThreshold, want: int) -> list:
     """First min(want, total) surviving digits of the 0/1 partial
@@ -395,8 +400,8 @@ def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
     4 * want + 1 (``_decided_keep``).  On a balanced string at least half
     the places survive on average (every lo digit when t >= 1/2, every hi
     digit when t <= 1/2), so only the rare row keeps fewer than want;
-    those rows alone read again at 2L, until L is the whole string.  One
-    ``_rotated_rows`` gather holds at most _READ_PLACES places, or one row.
+    those rows alone read again at 2L, until L is the whole string.  The
+    rows of each read go in ``_row_parts``, one ``_rotated_rows`` gather each.
     """
     full = len(r0) - len(r0) % 2 ** max(depth - 1, 0)
     if full == 0:
@@ -406,10 +411,8 @@ def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
     L = min(4 * want + THRESHOLD_BITS, full)
     while rows:
         whole = L == full
-        chunk = max(_READ_PLACES // L, 1)
         short = []
-        for lo in range(0, len(rows), chunk):
-            part = rows[lo:lo + chunk]
+        for part in _row_parts(rows, L):
             d = _rotated_rows(r0.digits, 2, depth, nums[part, None], np.arange(L))
             keep, decided = _decided_keep(d == 1, L, whole, thr)
             for i, digs, kept in zip(part, d[:, :decided], keep[:, :decided]):

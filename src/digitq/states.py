@@ -233,10 +233,10 @@ def _qutrit_pipeline(d: np.ndarray, q1: PAdicRational,
     nz = np.flatnonzero(d != 0)
     if nz.size == 0:
         raise EmptyResult("no nonzero digit to rotate")
-    bits = _rotated_prefix(d[nz] - 1, q2, nz.size)
+    bits = _rotated_prefix(d[nz] - 1, q2)
     out = d[:nz[bits.size - 1] + 1].copy()
     out[nz[:bits.size]] = bits + 1
-    return _rotated_prefix(out, q1, out.size)
+    return _rotated_prefix(out, q1)
 
 
 def _qutrit_reduce(d: np.ndarray, t1: BinaryThreshold,

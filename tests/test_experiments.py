@@ -21,9 +21,9 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 _grid_leading_windows, _qutrit_leading_digit,
                                 _qutrit_leading_digits, _stage1_leads, _trace_rows,
                                 _trace_sources)
-from digitq.phase import PAdicRational, _rotation_operator_cached, phase_rotate
+from digitq.phase import PAdicRational, _rotated_rows, _rotation_operator_cached, phase_rotate
 from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _euler_step,
-                              _reduced_values, partial_reduce, reduce_compound,
+                              _reduced_values, _window_u64, partial_reduce, reduce_compound,
                               weak_reduction_walk)
 from digitq.rng import derive_seed, make_rng
 from digitq.states import (BlochPoint, QutritAngles, StateConfig,
@@ -267,6 +267,22 @@ class TestTraceRule:
                                   SampleGrid(depth=7, base=3), SampleGrid(depth=12),
                                   n_samples=0, seed=0)
 
+    def test_base2_seed_is_refused_before_any_read(self, monkeypatch):
+        # binary digits read as ternary would pass the statistics (0.543,
+        # 0.363 and 0.094 against 0.5, 0.375 and 0.125 at 256 samples); the
+        # constructor refuses the same config
+        qcfg = StateConfig(champernowne(2, 1 << 18), n_max=7, inner_dyadic_depth=12)
+        reads = []
+        monkeypatch.setattr(experiments, "_trace_rows",
+                            lambda *args: reads.append(args) or _trace_rows(*args))
+        with pytest.raises(ValueError, match="trace rule needs a base-3 seed"):
+            trace_rule_experiment(Fraction(1, 2), Fraction(1, 3), SampleGrid(7, 3),
+                                  SampleGrid(12), cfg=qcfg, n_samples=256, seed=0)
+        assert reads == []
+        ang = QutritAngles(Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(0))
+        with pytest.raises(ValueError, match="needs a base-3 seed"):
+            qutrit_state(qcfg, ang)
+
     @staticmethod
     def _assert_fast_path_matches(qcfg, angle_pairs, depth1, depth2, rng):
         for th1, th2 in angle_pairs:
@@ -466,8 +482,55 @@ class TestBatchedTraceRule:
                       n_samples=40, seed=6)
         want = trace_rule_experiment(**kwargs).to_json_dict()["statistics"]
         for rows in (1, 7, 40):
-            monkeypatch.setattr(experiments, "_TRACE_ROWS", rows)
+            # a budget of `rows` first reads of 256 places
+            monkeypatch.setattr(reduction, "_READ_PLACES", rows * 256)
             assert trace_rule_experiment(**kwargs).to_json_dict()["statistics"] == want
+
+    def test_every_read_holds_at_most_the_budget(self, monkeypatch):
+        # the seed of test_rows_a_short_read_leaves_undecided_read_again_inside_the_batch:
+        # at triadic numerator 0 every row reads too few stage-1 digits in
+        # 256 places, so all 64 rows read again at W = 729 places, and those
+        # reads split to stay within the budget
+        digits = champernowne(3, 3 ** 9).digits.copy()
+        digits[:600] = 0
+        digits[1:600:12] = 2
+        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
+        reads = []
+
+        def recording(d, rank, bits0, grid1, grid2, e1s, e2s, places):
+            rows = _trace_rows(d, rank, bits0, grid1, grid2, e1s, e2s, places)
+            reads.append((e2s.tolist(), places))
+            return rows
+
+        leads_by_read = []
+
+        def leads_recording(rot, *args):
+            leads = _stage1_leads(rot, *args)
+            leads_by_read.append(leads)
+            return leads
+
+        monkeypatch.setattr(experiments, "_trace_rows", recording)
+        monkeypatch.setattr(experiments, "_stage1_leads", leads_recording)
+        fallback = self.counting_fallback(monkeypatch)
+        grid1, grid2 = SampleGrid(7, 3), SampleGrid(12)
+        e1s = np.zeros(64, dtype=np.int64)
+        e2s = make_rng(24).choice(grid2.modulus, size=64, replace=False)
+        th1, th2 = Fraction(1, 2), Fraction(1, 3)
+        t1, t2 = qutrit_thresholds(th1, th2)
+        got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
+        budget = reduction._READ_PLACES
+        assert all(len(rows) * places <= max(budget, places) for rows, places in reads)
+        assert {places for _, places in reads} == {256, 729}
+        undecided = [e2 for (rows, places), leads in zip(reads, leads_by_read)
+                     if places == 256 for e2, lead in zip(rows, leads) if lead < 0]
+        read_again = [e2 for rows, places in reads if places == 729 for e2 in rows]
+        assert len(undecided) == 64 and read_again == undecided
+        assert len([1 for _, places in reads if places == 729]) > 1
+        assert fallback == []
+        for lead, e2 in zip(got, e2s):
+            ang = QutritAngles(th1, th2, PAdicRational(3, 0, 7),
+                               PAdicRational(2, int(e2), 12))
+            assert lead == qutrit_state(qcfg, ang).leading_digit
 
 
 class TestTraceRows:
@@ -663,6 +726,48 @@ LEMMA_SEEDS = {
     "random": lambda: DigitString(
         2, make_rng(5).integers(0, 2, 1 << 18, dtype=np.uint8), _validate=False),
 }
+
+
+def one_gather_windows(seed_string, depth):
+    """The grid's leading windows from one gather of every numerator, the
+    sweep's form before it read in parts of the place budget."""
+    bits = _rotated_rows(seed_string.digits, 2, depth, np.arange(1 << depth)[:, None],
+                         np.arange(min(64, len(seed_string))))
+    return _window_u64(bits, 1)[:, 0]
+
+
+class TestGridLeadingWindows:
+    """The grid sweep reads in parts of the place budget and equals the one
+    gather of the whole grid, whatever the budget."""
+
+    @pytest.mark.parametrize("budget", [64, 100, None])
+    @pytest.mark.parametrize("seed_string, depths", [
+        (lambda: champernowne(2, 1 << 18), (0, 1, 10, 12)),
+        (lambda: concatenated_squares(2, 1 << 14), (0, 1, 10, 12)),
+        (lambda: DigitString(2, make_rng(25).integers(0, 2, 1 << 12)), (0, 1, 10, 12)),
+        # 48 digits: a short window, in three whole 16-digit blocks at depth 5
+        (lambda: champernowne(2, 48), (0, 1, 5)),
+    ], ids=["champernowne", "squares", "random", "short"])
+    def test_matches_one_gather_of_the_whole_grid(self, monkeypatch, budget, seed_string,
+                                                  depths):
+        seed_string = seed_string()
+        if budget is not None:
+            monkeypatch.setattr(reduction, "_READ_PLACES", budget)
+        budget = reduction._READ_PLACES
+        reads = []
+
+        def recording(digits, p, depth, numerators, places):
+            reads.append((numerators.shape[0], places.size))
+            return _rotated_rows(digits, p, depth, numerators, places)
+
+        monkeypatch.setattr(experiments, "_rotated_rows", recording)
+        for depth in depths:
+            reads.clear()
+            got = _grid_leading_windows(seed_string, depth)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, one_gather_windows(seed_string, depth))
+            assert sum(rows for rows, _ in reads) == 1 << depth
+            assert all(rows * places <= max(budget, places) for rows, places in reads)
 
 
 class TestTopBitLemma:

@@ -293,34 +293,23 @@ class TestRotatedRows:
         for m, row in zip(ms, rows):
             assert np.array_equal(row, _rotated_rows(s.digits, p, n, int(m), places))
 
-    @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (3, 5), (5, 2)])
-    def test_row_form_reads_each_row_as_its_own_string(self, p, n):
-        # a matrix of strings with a column of numerators, one per row: each
-        # row rotates its own digits, not every string by every numerator
-        rows = np.stack([self.string(p, n).digits, rand_string(p, len(self.string(p, n)),
-                                                               seed=99).digits])
-        rows = np.concatenate([rows, rows[::-1], rows])
-        places = np.arange(rows.shape[1])
-        ms = np.array(self.numerators(p, n)[:rows.shape[0]])
-        got = _rotated_rows(rows, p, n, ms[:, None], places)
-        assert got.shape == rows.shape
-        for m, row, digits in zip(ms, got, rows):
-            assert np.array_equal(row, _rotated_rows(digits, p, n, int(m), places))
-
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3)])
     def test_prefix_rounds_up_to_whole_blocks(self, p, n):
+        # a prefix of k digits rotates its whole blocks, the first
+        # floor(k/B)*B digits of the whole string's rotation: k a block
+        # multiple or not, and the whole string
         s = self.string(p, n)
         for m in self.numerators(p, n):
             q = PAdicRational(p, m, n)
             block = p ** max(q.depth - 1, 0)
             want = self.tower(s, p, n, m).digits
-            for k in (1, block, block + 1, len(s), 10 * len(s)):
-                got = _rotated_prefix(s.digits, q, k)
-                assert np.array_equal(got, want[:min(len(s), -(-k // block) * block)])
+            for k in {block, block + 1, 2 * block - 1, 2 * block, len(s) - 1, len(s)}:
+                got = _rotated_prefix(s.digits[:k], q)
+                assert np.array_equal(got, want[:k - k % block]), (m, k)
 
     def test_prefix_below_one_block_is_refused(self):
         with pytest.raises(LengthNotDivisible):
-            _rotated_prefix(champernowne(2, 64).digits[:31], PAdicRational(2, 1, 6), 8)
+            _rotated_prefix(champernowne(2, 64).digits[:31], PAdicRational(2, 1, 6))
 
     def test_rotation_off_the_block_is_refused(self):
         with pytest.raises(LengthNotDivisible):

@@ -142,17 +142,18 @@ def mask_thresholds(rng, windows):
     its last window's reach reads that window one below itself."""
     thrs = [BinaryThreshold(0), BinaryThreshold(1 << 63), BinaryThreshold(1 << 64),
             random_threshold(rng), random_threshold(rng)]
-    seam = reduction._MASK_PLACES - 1
+    seam = reduction._READ_PLACES - 1
     if windows.shape[-1] > seam:
         thrs += [BinaryThreshold(int(t)) for t in np.unique(windows[..., seam])]
     return thrs
 
 
 class TestChunkedSuffixMask:
-    """_suffix_ge_mask reads the last axis in chunks of _MASK_PLACES;
-    pinned to the one-shot read and, on short strings, to exact Fractions."""
+    """_suffix_ge_mask reads the last axis in chunks of _READ_PLACES, the
+    one place budget; pinned to the one-shot read and, on short strings,
+    to exact Fractions."""
 
-    CHUNK = reduction._MASK_PLACES
+    CHUNK = reduction._READ_PLACES
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 63, 64, 65, CHUNK + 5])
     def test_one_row_matches_the_one_shot_read(self, extra):
@@ -181,7 +182,7 @@ class TestChunkedSuffixMask:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 63, 64, 65])
     def test_small_chunks_against_brute_force(self, monkeypatch, chunk):
-        monkeypatch.setattr(reduction, "_MASK_PLACES", chunk)
+        monkeypatch.setattr(reduction, "_READ_PLACES", chunk)
         rng = np.random.default_rng(chunk)
         strings = [DigitString(2, rng.integers(0, 2, 2 * 65 + 5)),
                    DigitString(2, np.ones(2 * 65 + 5, dtype=np.uint8))]
@@ -204,6 +205,22 @@ class TestChunkedSuffixMask:
             for thr in mask_thresholds(rng, _window_u64(bits, shape[-1])):
                 assert np.array_equal(reduction._suffix_ge_mask(bits, thr),
                                       one_shot_ge(bits, thr))
+
+
+class TestRowParts:
+    """The one split of a read's rows by the place budget."""
+
+    @pytest.mark.parametrize("budget", [1, 63, 64, 100, 1 << 15])
+    def test_parts_cover_the_rows_in_order_within_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(reduction, "_READ_PLACES", budget)
+        for n, places in [(0, 64), (1, 64), (40, 448), (4096, 64), (5, 100000)]:
+            rows = 3 * np.arange(n)
+            parts = reduction._row_parts(rows, places)
+            assert np.concatenate([rows[:0]] + parts).tolist() == rows.tolist()
+            assert all(len(p) * places <= budget or len(p) == 1 for p in parts)
+            # every part but the last is as large as the budget allows
+            assert all(len(p) == max(budget // places, 1) for p in parts[:-1])
+            assert reduction._row_parts(rows.tolist(), places) == [p.tolist() for p in parts]
 
 
 class TestBinaryThreshold:
@@ -708,11 +725,14 @@ class TestReducedPrefix:
         with pytest.raises(LengthNotDivisible):
             _reduced_prefix(champernowne(2, 16), 8, np.array([1]), BinaryThreshold(1), 96)
 
-    def test_only_undecided_rows_read_again_within_the_gather_bound(self, gathers):
+    def test_only_undecided_rows_read_again_within_the_gather_bound(self, monkeypatch,
+                                                                     gathers):
         # at t = 1 - 2^-64 every 0 survives and a 1 only before 63 more 1s:
         # the seed keeps its 32 zeros, and its complement (1/2 of a turn)
         # 63 of every 64 places.  The complement rows are decided by the
-        # first read; the seed's rows alone grow to the whole string
+        # first read; the seed's rows alone grow to the whole string.  A
+        # budget of 32 first-read rows splits the 40 rows 32 + 8
+        monkeypatch.setattr(reduction, "_READ_PLACES", 32 * 448)
         r0 = DigitString(2, ([1] * 63 + [0]) * 32)
         thr = BinaryThreshold((1 << 64) - 1)
         nums = np.arange(40) % 2
