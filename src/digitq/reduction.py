@@ -27,6 +27,15 @@ comparison runs the kernel on chunks of that many places, each with the
 a read of many rows (the walk's, the trace rule's, a grid sweep's) goes
 in parts (``_row_parts``).  Survivors are gathered with ``compress``.
 
+The thresholds themselves are Python-integer fixed point: cos^2(theta/2)
+= (1 + cos theta)/2 from a cached Machin pi, a Taylor series at theta/16
+and four doublings, at 320 fraction bits (and as many more as a float
+angle has integer bits), within 2 units of the last place; the 64-bit
+threshold is its floor, or the nearest integer when that lies within
+2^-64 of it.  The biased quantile runs its 64 steps at 192 + 64 *
+bitlen(q // min(p, q - p)) bits for the density p/q, which its error
+amplification of up to min(w, 1 - w)^-64 leaves below 2^-188.
+
 A useful consequence, used throughout the experiments: the first
 surviving digit is lo exactly when the whole-string value is below t
 (deleting a hi digit with suffix < t keeps the next suffix below t, and a
@@ -51,10 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi, sin
+from math import isfinite, pi, sin
 from typing import Optional, Union
 
-import mpmath as mp
 import numpy as np
 
 from .digits import (DeletionLog, DigitString, _compress, _digits_to_int,
@@ -102,26 +110,88 @@ def _angle_repr(theta) -> str:
     return repr(float(theta))
 
 
-def _cos2_half(theta):
-    """cos^2(theta/2) as an mpf at the caller's working precision: a
-    Fraction is an exact multiple of pi, anything else radians."""
+_COS2_BITS = 320    # fraction bits of the cos^2 that _threshold_int rounds
+_GUARD_BITS = 32    # bits carried beyond the requested ones, lost to roundings
+
+
+@lru_cache(maxsize=16)
+def _pi_fixed(bits: int) -> int:
+    """pi * 2^bits within one unit, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239), each series summed with
+    guard bits that outgrow its floored terms."""
+    g = bits + bits.bit_length() + 8
+
+    def arctan_inv(x: int) -> int:
+        power, total, k = (1 << g) // x, 0, 1
+        while power:
+            total += -(power // k) if k & 2 else power // k
+            power //= x * x
+            k += 2
+        return total
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> (g - bits)
+
+
+def _cos_fixed(x: int, f: int) -> int:
+    """cos(x / 2^f) * 2^f for 0 <= x <= pi * 2^f: the Taylor series at
+    x/16, then four doublings cos 2a = 2 cos^2 a - 1."""
+    one = 1 << f
+    y2 = (x >> 4) ** 2 >> f
+    c, term, k = one, one, 0
+    while term:
+        k += 2
+        term = (term * y2 >> f) // (k * (k - 1))
+        c += -term if k & 2 else term
+    for _ in range(4):
+        c = (c * c >> (f - 1)) - one
+    return c
+
+
+def _cos2_half(theta, bits: int = _COS2_BITS) -> int:
+    """cos^2(theta/2) = (1 + cos theta)/2 as an integer scaled by 2^bits,
+    within 2 units of its last place: a Fraction is an exact multiple of
+    pi, anything else radians.
+
+    A Fraction folds exactly onto [0, pi] (cos(k pi) has period 2 in k
+    and is even).  A float is read exactly through ``as_integer_ratio``
+    and reduced mod 2 pi in fixed point, with pi carried to as many more
+    bits as |theta| has integer bits, since the reduction multiplies pi's
+    error by |theta| / 2 pi.  The work runs at bits + _GUARD_BITS or
+    more, a multiple of 64: the Taylor terms and the doublings (which
+    multiply an error by at most 4 each) lose under 2^16 units of it.
+    """
     if isinstance(theta, Fraction):
-        x = mp.pi * theta.numerator / theta.denominator
+        n, d = theta.numerator % (2 * theta.denominator), theta.denominator
+        f = -(-(bits + _GUARD_BITS) // 64) * 64
+        x = _pi_fixed(f) * min(n, 2 * d - n) // d
     else:
-        x = mp.mpf(theta)
-    return mp.cos(x / 2) ** 2
+        radians = float(theta)
+        if not isfinite(radians):
+            raise ValueError(f"angle {radians} is not finite")
+        n, d = radians.as_integer_ratio()
+        f = -(-(bits + _GUARD_BITS + (abs(n) // d).bit_length()) // 64) * 64
+        two_pi = 2 * _pi_fixed(f)
+        x = ((abs(n) << f) // d) % two_pi
+        x = min(x, two_pi - x)
+    return ((1 << f) + _cos_fixed(x, f)) >> (f - bits + 1)
 
 
 @lru_cache(maxsize=256, typed=True)
 def _threshold_int(theta) -> int:
     """floor(cos^2(theta/2) * 2^64), cached per angle with a typed key:
-    Fraction(1, 2) == 0.5 with equal hashes, but one is pi/2, one 0.5 rad."""
-    with mp.workprec(THRESHOLD_BITS + 96):
-        y = _cos2_half(theta) * (1 << THRESHOLD_BITS)
-        yr = mp.nint(y)
-        # snap to the nearest integer when the value is exact to well
-        # beyond the working error, otherwise truncate
-        return int(yr) if abs(y - yr) < mp.mpf(2) ** (-64) else int(mp.floor(y))
+    Fraction(1, 2) == 0.5 with equal hashes, but one is pi/2, one 0.5 rad.
+
+    A value within 2^-64 of an integer (2^-128 of cos^2) snaps to it, so
+    exact anchors such as 1/2 and 3/4 come out exact; cos^2 is read at
+    _COS2_BITS bits, whose error of 2^-319 leaves the rule decided except
+    within that distance of the band's edge.
+    """
+    c = _cos2_half(theta)
+    shift = _COS2_BITS - THRESHOLD_BITS
+    near = (c + (1 << (shift - 1))) >> shift
+    if abs(c - (near << shift)) < 1 << (shift - THRESHOLD_BITS):
+        return near
+    return c >> shift
 
 
 class BinaryThreshold:
@@ -188,12 +258,6 @@ class BinaryThreshold:
         return f"BinaryThreshold({self.t_int}/2^{THRESHOLD_BITS})"
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
 def biased_quantile_threshold(theta: AngleLike, zero_density) -> BinaryThreshold:
     """Threshold for reducing an unbalanced two-symbol string at the
     nominal level cos^2(theta/2).
@@ -208,35 +272,44 @@ def biased_quantile_threshold(theta: AngleLike, zero_density) -> BinaryThreshold
     nothing deleted) sits at cos^2(theta/2) = w, the angle at which the
     construction must act as the identity.  For w = 1/2 this degenerates
     to the plain threshold.
+
+    Exact rational w = p/q (a float is read exactly), and u, the measure
+    left to place, an integer scaled by 2^W: each of the 64 steps maps u
+    onto the chosen half, u/w or (u - w)/(1 - w), flooring, and so
+    multiplies its error by at most 1/min(w, 1 - w) and adds a unit.
+    W = 192 + 64 * bitlen(q // min(p, q - p)) bits keep the last step's
+    error below 2^-188, far inside the 2^-128 band within which a value
+    snaps onto w or 0, as an exact dyadic quantile needs.
     """
     if isinstance(theta, BinaryThreshold):
         raise TypeError("pass the angle, not a prebuilt threshold")
-    with mp.workprec(THRESHOLD_BITS + 96):
-        w = _to_mpf(zero_density)
-        if not (0 < w < 1):
-            raise ValueError("zero_density must lie strictly between 0 and 1")
-        u = _cos2_half(theta)
-        # snap values that are exact at the working precision, so the
-        # anchor angles produce bit-exact thresholds
-        eps = mp.mpf(2) ** (-(THRESHOLD_BITS + 64))
-        if u > 1 - eps:
-            return BinaryThreshold(1 << THRESHOLD_BITS)
-        if u < eps:
-            return BinaryThreshold(0)
-        t_int = 0
-        for _ in range(THRESHOLD_BITS):
-            if abs(u - w) < eps:
-                # boundary: the quantile is exactly this dyadic point
-                t_int = (t_int << 1) | 1
-                u = mp.mpf(0)
-            elif u < w:
-                t_int <<= 1
-                u = u / w
-            else:
-                t_int = (t_int << 1) | 1
-                u = (u - w) / (1 - w)
-                if u < eps:
-                    u = mp.mpf(0)
+    w = Fraction(zero_density)
+    if not (0 < w < 1):
+        raise ValueError("zero_density must lie strictly between 0 and 1")
+    p, q = w.numerator, w.denominator
+    W = 192 + 64 * (q // min(p, q - p)).bit_length()
+    u = _cos2_half(theta, W)
+    eps = 1 << (W - 128)
+    if u > (1 << W) - eps:
+        return BinaryThreshold(1 << THRESHOLD_BITS)
+    if u < eps:
+        return BinaryThreshold(0)
+    pw, band = p << W, eps * q
+    t_int = 0
+    for _ in range(THRESHOLD_BITS):
+        d = u * q - pw  # u - w, scaled by q 2^W
+        if -band < d < band:
+            # boundary: the quantile is exactly this dyadic point
+            t_int = (t_int << 1) | 1
+            u = 0
+        elif d < 0:
+            t_int <<= 1
+            u = (d + pw) // p
+        else:
+            t_int = (t_int << 1) | 1
+            u = d // (q - p)
+            if u < eps:
+                u = 0
     return BinaryThreshold(t_int)
 
 

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from digitq.errors import (EmptyResult, LengthNotDivisible, NonConvergence,
                            SuffixTooShort, Tie)
 from digitq import reduction
 from digitq.phase import PAdicRational, apply, phase_rotate, rotation_operator
+from digitq.states import qutrit_thresholds
 from digitq.reduction import (THRESHOLD_BITS, BinaryThreshold, _decided_keep,
                               _deletion_mask, _reduced_prefix, _reduced_values,
                               _window_u64, biased_quantile_threshold,
@@ -331,6 +333,124 @@ class TestBiasedQuantileThreshold:
             t = biased_quantile_threshold(th, Fraction(1, 3))
             freq = float(np.mean(vals < float(t.value)))
             assert freq == pytest.approx(math.cos(th / 2) ** 2, abs=0.02)
+
+
+def _mp_cos2_half(theta):
+    if isinstance(theta, Fraction):
+        x = mp.pi * theta.numerator / theta.denominator
+    else:
+        x = mp.mpf(theta)
+    return mp.cos(x / 2) ** 2
+
+
+def _mp_threshold_int(theta, prec=THRESHOLD_BITS + 96):
+    """Reference: the threshold rule in mpmath at ``prec`` bits, as the
+    library computed it before its fixed-point arithmetic."""
+    with mp.workprec(prec):
+        y = _mp_cos2_half(theta) * (1 << THRESHOLD_BITS)
+        yr = mp.nint(y)
+        return int(yr) if abs(y - yr) < mp.mpf(2) ** (-64) else int(mp.floor(y))
+
+
+def _mp_biased_quantile(theta, zero_density, prec=THRESHOLD_BITS + 96):
+    """Reference: ``biased_quantile_threshold``'s t_int in mpmath."""
+    with mp.workprec(prec):
+        w = mp.mpf(zero_density.numerator) / zero_density.denominator
+        u = _mp_cos2_half(theta)
+        eps = mp.mpf(2) ** (-(THRESHOLD_BITS + 64))
+        if u > 1 - eps:
+            return 1 << THRESHOLD_BITS
+        if u < eps:
+            return 0
+        t_int = 0
+        for _ in range(THRESHOLD_BITS):
+            if abs(u - w) < eps:
+                t_int = (t_int << 1) | 1
+                u = mp.mpf(0)
+            elif u < w:
+                t_int <<= 1
+                u = u / w
+            else:
+                t_int = (t_int << 1) | 1
+                u = (u - w) / (1 - w)
+                if u < eps:
+                    u = mp.mpf(0)
+    return t_int
+
+
+class TestIntegerThresholds:
+    """The fixed-point thresholds agree bit for bit with mpmath."""
+
+    def _agree(self, angles):
+        got = [reduction._threshold_int.__wrapped__(th) for th in angles]
+        assert got == [_mp_threshold_int(th) for th in angles]
+
+    def test_fraction_multiples_of_pi(self):
+        self._agree([Fraction(k, n) for n in range(1, 65) for k in range(-1, 2 * n + 1)])
+
+    def test_seeded_float_radians(self):
+        rng = np.random.default_rng(25)
+        self._agree(rng.uniform(0, math.pi, 1500).tolist()
+                    + rng.uniform(-10, 10, 1500).tolist()
+                    + [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 5e-324])
+
+    def test_large_float_radians_reduce_exactly(self):
+        # pi carries as many more bits as the angle has integer bits
+        self._agree([1e20, 1e40, 1e80, -1e80, 1e300])
+
+    def test_large_fraction_folds_exactly(self):
+        # (10^30 + 1)/3 pi is 5/3 pi mod 2 pi, so cos^2 is exactly 3/4;
+        # mpmath at 160 bits rounds pi * (10^30 + 1) before reducing and
+        # misses by 4 units, and agrees once its precision covers the
+        # numerator's bits
+        th = Fraction(10 ** 30 + 1, 3)
+        exact = 3 << (THRESHOLD_BITS - 2)
+        assert reduction._threshold_int.__wrapped__(th) == exact
+        assert _mp_threshold_int(th) == exact + 4
+        assert _mp_threshold_int(th, THRESHOLD_BITS + 96 + 100) == exact
+
+    def _agree_quantiles(self, thetas, ws):
+        got = [biased_quantile_threshold(th, w).t_int for w in ws for th in thetas]
+        assert got == [_mp_biased_quantile(th, w) for w in ws for th in thetas]
+
+    def test_quantiles_at_the_trace_rule_densities(self):
+        # the densities w2 that qutrit_thresholds derives from theta2
+        grid = [Fraction(k, 16) for k in range(17)]
+        ws = []
+        for th2 in grid:
+            t2 = BinaryThreshold.from_angle(th2).value
+            ws.append(Fraction(1, 3) / (Fraction(1, 3) + Fraction(1, 3) * (1 + 2 * min(t2, 1 - t2))))
+            assert qutrit_thresholds(Fraction(1, 3), th2)[0].t_int == \
+                biased_quantile_threshold(Fraction(1, 3), ws[-1]).t_int
+        self._agree_quantiles(grid + [0.3, 1.7, 2.9], ws)
+
+    def test_quantiles_at_lopsided_densities(self):
+        # the loop multiplies its error by up to 64 a step here, and the
+        # working bits grow to match
+        self._agree_quantiles([Fraction(k, 16) for k in range(17)] + [0.3, 1.7, 2.9],
+                              [Fraction(1, 64), Fraction(63, 64)])
+
+    def test_quantile_bits_cover_its_error_amplification(self):
+        # a quantile whose 64 bits are mostly 0s under w = 1/64: each 0
+        # multiplies the loop's error by 64, here 54 times, 2^324 in all,
+        # beyond what 320 working bits absorb; u = F_w(x) is exact for
+        # x = t + 2^-66, and the angle that gives it is read to 1600 bits
+        w = Fraction(1, 64)
+        bits = [1] + ([0] * 6 + [1]) * 9 + [0, 1]
+        u, measure = Fraction(0), Fraction(1)
+        for b in bits:
+            u += b * measure * w
+            measure *= 1 - w if b else w
+        with mp.workprec(2000):
+            half = mp.acos(mp.sqrt(mp.mpf(u.numerator) / u.denominator)) / mp.pi
+            theta = Fraction(int(mp.floor(2 * half * 2 ** 1600)), 1 << 1600)
+        t = int("".join(map(str, bits[:THRESHOLD_BITS])), 2)
+        assert biased_quantile_threshold(theta, w).t_int == t
+
+    def test_float_density_is_read_exactly(self):
+        for w in (0.3, 1 / 3, 0.9):
+            assert (biased_quantile_threshold(1.1, w).t_int
+                    == _mp_biased_quantile(1.1, Fraction(w)))
 
 
 class TestProject:
