@@ -15,23 +15,24 @@ two points.
 
 A note on speed: leading-digit statistics only need a prefix of each
 state, because rotations act blockwise and a prefix decides every
-deletion whose suffix window it holds (``reduction._decided_keep``).
+deletion whose comparison its digits settle, which is almost every one
+within a few digits (``reduction._decided_places``).
 Every rotation on these paths is read from the odometer
 (``phase._rotated_rows``) at the places it needs; no dense operator is
 built.  The trace rule reads the leading digit off one window of stage 1
 by the first-survivor lemma in one row-wise read, ``_stage1_leads``,
 for many samples at once: one composed gather (``_trace_rows``, the
 triadic odometer, then the dyadic one at each nonzero digit's rank)
-gives the first 256 places of every rotated seed as the rows of a
-matrix; the read looks each verdict up by rank and gathers only the
-window's 64 stage-1 digits.  Only the rows 256 places leave undecided
-read again, all of them together, at 3^(n_max-1) places, and the rare
-row those leave undecided goes through the per-sample reader, the same
-read on one row of a growing slice of the seed's digits rotated by the
-constructor's own rotation stage.  Unit tests pin the gather to that
-rotation stage, the batch to the per-sample reader and it to the
-constructor, ``qutrit_state``, whose ``_qutrit_reduce`` is the read's
-oracle.  Dyadic grid sweeps take a column of numerators, so the leading
+gives the first 32 places of every rotated seed as the rows of a
+matrix; the read looks each verdict up by rank and scatters only the
+window's 64 stage-1 digits.  Only the rows 32 places leave undecided
+read again, all of them together, at 4x the places up to 3^(n_max-1),
+and the rare row those leave undecided goes through the per-sample
+reader, the same read on one row of a growing slice of the seed's
+digits rotated by the constructor's own rotation stage.  Unit tests pin
+the gather to that rotation stage, the batch to the per-sample reader
+and it to the constructor, ``qutrit_state``, whose ``_qutrit_reduce`` is
+the read's oracle.  Dyadic grid sweeps take a column of numerators, so the leading
 64 digits of many rotated seeds come from one gather, and polarization,
 interference and seed invariance read nothing but those cached windows.
 Every read of many rows goes in ``reduction._row_parts``.
@@ -60,11 +61,13 @@ import numpy as np
 from .digits import DigitString, _add_mod, champernowne, concatenated_squares, phi_shift
 from .errors import (DegenerateStatistic, EmptyResult, LengthNotDivisible,
                      NonConvergence, OffGrid, SuffixTooShort)
-from .phase import (PAdicRational, _rotated_rows, _rotated_sources, apply as apply_operator,
-                    extend_to, omega_root, operator_pow, phase_rotate)
+from .phase import (BlockOperator, PAdicRational, _rotated_rows, _rotated_sources,
+                    apply as apply_operator, extend_to, identity_operator, omega_root,
+                    operator_pow, phase_rotate)
 from .reduction import (K_GUARD, THRESHOLD_BITS, BinaryThreshold, _angle_float,
-                        _angle_repr, _check_drift, _decided_keep, _euler_step,
-                        _reduced_values, _row_parts, _window_u64, weak_reduction_walk)
+                        _angle_repr, _check_drift, _decided_places, _deletion_mask,
+                        _euler_step, _reduced_values, _row_parts, _settled, _window_u64,
+                        weak_reduction_walk)
 from .rng import derive_seed, make_rng
 from .states import (StateConfig, _qutrit_pipeline, default_config,
                      default_qutrit_config, qutrit_thresholds)
@@ -288,25 +291,35 @@ def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
     digit matrix (one rotated prefix per row, whole strings when
     ``whole``; uint8 from the pipeline and the batch), read
     off stage 1; -1 where the row does not decide it.  ``rank``, the
-    running count of nonzero digits, counts them, looks each nonzero
-    place's verdict up in the stage-1 keep mask of the nonzero digits
-    sorted to the front (zeros stay), and marks a place known while its
-    rank is decided.  By the first-survivor lemma the lead is the first
-    known kept place that is zero if the stage-1 indicator's place-0
-    window, read from the first THRESHOLD_BITS kept places (all of them
-    unless whole), is below t1, and nonzero otherwise."""
+    running count of nonzero digits, scatters the nonzero digits to the
+    front (zeros stay), looks each nonzero place's verdict up in their
+    stage-1 keep mask, and marks a place known while its rank is decided.
+    By the first-survivor lemma the lead is the first known kept place
+    that is zero if the stage-1 indicator's place-0 window is below t1,
+    and nonzero otherwise.  That window is read from the first
+    THRESHOLD_BITS known kept places, scattered there by their own running
+    count, and the comparison is settled (``reduction._settled``) by as
+    many of its digits as are known: all of them when ``whole``."""
     nonzero = rot != 0
-    rank = np.cumsum(nonzero, axis=1)
-    ranked = np.take_along_axis(rot, np.argsort(~nonzero, axis=1, kind="stable"), axis=1)
-    kept, decided = _decided_keep(ranked == 2, rank[:, -1], whole, t2)
+    rank = np.cumsum(nonzero, axis=1, dtype=np.int32)
+    places = rot.shape[1]
+    ranked = np.zeros((rot.shape[0], places + 1), dtype=bool)
+    np.put_along_axis(ranked, np.where(nonzero, rank - 1, places), rot == 2, axis=1)
+    ranked = ranked[:, :places]
+    kept = ~_deletion_mask(ranked, t2)
+    decided = rank[:, -1] if whole else _decided_places(ranked, rank[:, -1], t2)
     keep = np.take_along_axis(kept, np.maximum(rank - 1, 0), axis=1) | ~nonzero
     keep &= rank <= decided[:, None]
-    n1 = np.count_nonzero(keep, axis=1)
-    first = np.argsort(~keep, axis=1, kind="stable")[:, :THRESHOLD_BITS]
-    hi = np.take_along_axis(nonzero, first, axis=1) & (np.arange(first.shape[1]) < n1[:, None])
-    wanted = keep & (nonzero == t1.at_or_below(_window_u64(hi, 1)))
+    kept_rank = np.cumsum(keep, axis=1, dtype=np.int32)
+    n1 = kept_rank[:, -1]
+    hi = np.zeros((rot.shape[0], THRESHOLD_BITS + 1), dtype=bool)
+    np.put_along_axis(hi, np.where(keep & (kept_rank <= THRESHOLD_BITS), kept_rank - 1,
+                                   THRESHOLD_BITS), nonzero, axis=1)
+    w = _window_u64(hi[:, :THRESHOLD_BITS], 1)[:, 0]
+    wanted = keep & (nonzero == t1.at_or_below(w)[:, None])
     lead = rot[np.arange(rot.shape[0]), wanted.argmax(axis=1)].astype(np.int64)
-    return np.where(((n1 >= THRESHOLD_BITS) | whole) & wanted.any(axis=1), lead, -1)
+    settled = whole | _settled(w, n1, t1)
+    return np.where(settled & wanted.any(axis=1), lead, -1)
 
 
 def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
@@ -347,7 +360,7 @@ def _trace_sources(d: np.ndarray, W: int,
     bits0 = d[d != 0][:need] - 1
     if bits0.size < need:
         return None
-    return np.maximum(np.cumsum(nonzero) - 1, 0), bits0
+    return np.maximum(np.cumsum(nonzero, dtype=np.int32) - 1, 0), bits0
 
 
 def _trace_rows(d: np.ndarray, rank: np.ndarray, bits0: np.ndarray, grid1: SampleGrid,
@@ -376,10 +389,11 @@ def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThre
     rotated seed come from its first W digits and the first whole q2
     blocks of its nonzero digits.  Both gathers run at the grid depths: a
     numerator divisible by the base reads the same digits as its reduced
-    form one level down.  Every row first reads min(4 * THRESHOLD_BITS, W)
-    places (``_trace_rows``); a prefix's lead holds for every longer
-    prefix (``reduction._decided_keep``), so only the rows of the call it
-    leaves undecided read again, at all W places.  Each read goes in
+    form one level down.  Every row first reads min(THRESHOLD_BITS // 2,
+    W) places (``_trace_rows``), which settle almost every comparison
+    (``reduction._decided_places``); a prefix's lead holds for every longer
+    prefix, so only the rows of the call a read leaves undecided read
+    again, at 4x the places, up to W.  Each read goes in
     ``reduction._row_parts``.  Rows still undecided go through
     ``_qutrit_leading_digit``, and so does every row when the seed holds
     no nonzero digit past the q2 blocks that cover W.
@@ -390,16 +404,14 @@ def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThre
     leads = np.full(e1s.size, -1, dtype=np.int64)
     if sources is not None:
         rank, bits0 = sources
-
-        def read(rows: np.ndarray, places: int) -> None:
+        rows, places = np.arange(e1s.size), min(THRESHOLD_BITS // 2, W)
+        while rows.size:
             for part in _row_parts(rows, places):
                 rot = _trace_rows(d, rank, bits0, grid1, grid2, e1s[part], e2s[part], places)
                 leads[part] = _stage1_leads(rot, t1, t2, False)
-
-        first = min(4 * THRESHOLD_BITS, W)
-        read(np.arange(e1s.size), first)
-        if first < W:
-            read(np.flatnonzero(leads < 0), W)
+            if places == W:
+                break
+            rows, places = rows[leads[rows] < 0], min(4 * places, W)
     for i in np.flatnonzero(leads < 0):
         leads[i] = _qutrit_leading_digit(cfg, t1, t2,
                                          PAdicRational(3, int(e1s[i]), grid1.depth),
@@ -423,11 +435,11 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
     (triadic, dyadic) longitude pairs versus the trace rule.
 
     The samples' leading digits come from ``_qutrit_leading_digits``: one
-    row per sample, every row read at 256 places and the rows those leave
-    undecided at 3^(n_max-1); the per-sample ``_qutrit_leading_digit`` is
-    the fallback for rows the batch still leaves undecided, so the counts
-    are those of the per-sample reader.  A seed that is not base 3 is
-    refused before any read."""
+    row per sample, every row read at 32 places and the rows those leave
+    undecided again at 4x the places, up to 3^(n_max-1); the per-sample
+    ``_qutrit_leading_digit`` is the fallback for rows the batch still
+    leaves undecided, so the counts are those of the per-sample reader.
+    A seed that is not base 3 is refused before any read."""
     if n_samples < 1:
         raise ValueError("the trace rule needs at least one sample")
     cfg = cfg or default_qutrit_config()
@@ -757,29 +769,41 @@ def seed_invariance_suite(cfg_main: Optional[StateConfig] = None,
 def operator_algebra_checks(seed: int = 0, n_strings: int = 1000,
                             length: int = 1 << 12) -> ExperimentReport:
     """Exact group-law checks on random strings, reported like an
-    experiment with zero tolerance.  The strings are drawn and rotated as
-    one concatenation (the same digits as one draw per string); no block
-    straddles two strings, so mismatches still count per string."""
+    experiment with zero tolerance.  ``apply`` is a function of the
+    operator's table, so a law whose two tables are equal has no
+    mismatched string; only a law whose tables differ draws the strings
+    and counts them.  The strings are drawn and rotated as one
+    concatenation (the same digits as one draw per string); no block
+    straddles two strings, so mismatches still count per string.  The
+    complement ``phi_shift`` is digitwise: its table is the identity
+    permutation with the shift it gives the zero block."""
     t0 = time.perf_counter()
     roots = [omega_root(2, n) for n in range(9)]
     if length % roots[8].size:
         raise LengthNotDivisible(
             f"length {length} is not a multiple of block size {roots[8].size}")
-    s = DigitString(2, make_rng(seed).integers(0, 2, size=n_strings * length,
-                                               dtype=np.uint8), _validate=False)
 
-    def mismatched(a: DigitString, b: DigitString) -> int:
-        differs = (a.digits != b.digits).reshape(n_strings, length)
-        return int(np.count_nonzero(differs.any(axis=1)))
+    @lru_cache(maxsize=1)
+    def strings() -> DigitString:
+        return DigitString(2, make_rng(seed).integers(0, 2, size=n_strings * length,
+                                                      dtype=np.uint8), _validate=False)
 
-    mismatches_sq = sum(
-        mismatched(apply_operator(operator_pow(roots[n], 2), s),
-                   apply_operator(extend_to(roots[n - 1], roots[n].size), s))
-        for n in range(1, 9))
-    i2 = operator_pow(roots[1], 2)
-    i4 = operator_pow(roots[1], 4)
-    mismatches_i2 = mismatched(apply_operator(i2, s), phi_shift(s, 1))
-    mismatches_i4 = mismatched(apply_operator(i4, s), s)
+    def mismatched(op: BlockOperator, ref: BlockOperator, ref_image) -> int:
+        if op == ref:
+            return 0
+        s = strings()
+        differs = (apply_operator(op, s).digits != ref_image(s).digits)
+        return int(np.count_nonzero(differs.reshape(n_strings, length).any(axis=1)))
+
+    def law(op: BlockOperator, ref: BlockOperator) -> int:
+        return mismatched(op, ref, lambda s: apply_operator(ref, s))
+
+    mismatches_sq = sum(law(operator_pow(roots[n], 2), extend_to(roots[n - 1], roots[n].size))
+                        for n in range(1, 9))
+    complement = BlockOperator(2, [0, 1], phi_shift(DigitString(2, [0, 0]), 1).digits)
+    mismatches_i2 = mismatched(operator_pow(roots[1], 2), complement,
+                               lambda s: phi_shift(s, 1))
+    mismatches_i4 = law(operator_pow(roots[1], 4), identity_operator(2, 2))
     stats = [
         Statistic("square-law mismatches (n<=8)", mismatches_sq, 0.0, 0.0),
         Statistic("i^2 = complement mismatches", mismatches_i2, 0.0, 0.0),

@@ -14,18 +14,23 @@ digits survive; at t = 0 only hi digits survive.
 Comparisons are exact for the finite string: ``BinaryThreshold.at_or_below``
 compares the suffix's 64-digit window, zero-padded, against the threshold,
 and since the threshold has no digits beyond the window the comparison is
-always decided within it; so a prefix decides every place whose window
-it holds, the one rule (``_decided_keep``) by which the walk and the
-trace rule read prefixes.  The windows come from the string packed into
-big-endian 64-bit words: the 64 positions inside a word shift it and pull
-in the top bits of the next word, all in uint64 arithmetic.  Given a
-matrix, the kernel reads each row as its own string, so the grid sweeps'
-leading window of every rotated seed is its one-window row case.  One
-place budget, _READ_PLACES, bounds every vectorized read: a whole-string
-comparison runs the kernel on chunks of that many places, each with the
-63 digits after it that its last windows reach (``_suffix_ge_mask``), and
-a read of many rows (the walk's, the trace rule's, a grid sweep's) goes
-in parts (``_row_parts``).  Survivors are gathered with ``compress``.
+always decided within it.  A prefix decides every place whose window it
+holds, and also a place whose window it holds only in part when the
+window filled with 0s and the one filled with 1s fall on the same side of
+t, since every continuation's window lies between them (``_settled``);
+almost every comparison is settled within a few digits.  That is the one
+rule (``_decided_places``) by which the walk and the trace rule read
+prefixes, and the trace rule settles its stage-2 comparison by it too.
+The windows come from the string packed into big-endian 64-bit words:
+the 64 positions inside a word shift it and pull in the top bits of the
+next word, all in uint64 arithmetic.  Given a matrix, the kernel reads
+each row as its own string, so the grid sweeps' leading window of every
+rotated seed is its one-window row case.  One place budget,
+_READ_PLACES, bounds every vectorized read: a whole-string comparison
+runs the kernel on chunks of that many places, each with the 63 digits
+after it that its last windows reach (``_suffix_ge_mask``), and a read
+of many rows (the walk's, the trace rule's, a grid sweep's) goes in
+parts (``_row_parts``).  Survivors are gathered with ``compress``.
 
 The thresholds themselves are Python-integer fixed point: cos^2(theta/2)
 = (1 + cos theta)/2 from a cached Machin pi, a Taylor series at theta/16
@@ -384,14 +389,34 @@ def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     return hi_bits ^ _suffix_ge_mask(hi_bits, thr)
 
 
-def _decided_keep(hi: np.ndarray, n, whole: bool, thr: BinaryThreshold):
-    """Keep mask of the two-symbol reduction on each row of the hi
-    indicator ``hi``, whose first n places (an int, or one per row) hold
-    the row's digits, and the count of places it decides: all n of a
-    ``whole`` string, else the n - (THRESHOLD_BITS - 1) whose window is read.
+def _settled(w_lo: np.ndarray, known, thr: BinaryThreshold) -> np.ndarray:
+    """Whether t <= w is settled for each window w whose first ``known``
+    digits (a count per window, broadcast against w_lo; 64 or more is the
+    whole window) are those of w_lo, the window zero filled past them: the
+    one-filled window w_hi = w_lo | (2^(64 - known) - 1) falls on the same
+    side of t, and every true window lies between the two."""
+    k = np.asarray(known, dtype=np.uint64)
+    ones = np.where(k < THRESHOLD_BITS, np.uint64(2 ** 64 - 1) >> np.minimum(k, 63), 0)
+    return thr.at_or_below(w_lo) == thr.at_or_below(w_lo | ones)
+
+
+def _decided_places(hi: np.ndarray, n, thr: BinaryThreshold) -> np.ndarray:
+    """Count of the leading places of each row of the hi indicator ``hi``
+    whose deletion its first n places (an int, or one per row; the places
+    after them read lo) decide: those before the first place whose
+    comparison the known digits leave open (``_settled``), so at least the
+    n - (THRESHOLD_BITS - 1) whose whole window they hold.  Only the last
+    THRESHOLD_BITS - 1 places of a row lack digits of their window, so
+    only they are tested: the window at the tail's i-th place is the
+    tail's own window shifted left by i.
     """
-    keep = ~_deletion_mask(hi, thr)
-    return keep, n if whole else np.maximum(n - (THRESHOLD_BITS - 1), 0)
+    n = np.broadcast_to(n, hi.shape[:-1])
+    size = THRESHOLD_BITS - 1
+    places = n[..., None] - np.arange(size, 0, -1, dtype=np.int32)
+    tail = _window_u64(np.take_along_axis(hi, np.maximum(places, 0), axis=-1), 1)
+    i = np.arange(size, dtype=np.uint64)
+    open_ = ~_settled(tail << i, size - i, thr) & (places >= 0)
+    return n - size + np.where(open_.any(axis=-1), open_.argmax(axis=-1), size)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +495,8 @@ def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
     The rotated string is r0's whole 2^(depth-1)-blocks (LengthNotDivisible
     when it has none).  Every row first reads L = 4 * want + THRESHOLD_BITS
     of its places (all of them when fewer), which decide at least
-    4 * want + 1 (``_decided_keep``).  On a balanced string at least half
+    4 * want + 1, and as many more as the row's tail settles
+    (``_decided_places``).  On a balanced string at least half
     the places survive on average (every lo digit when t >= 1/2, every hi
     digit when t <= 1/2), so only the rare row keeps fewer than want;
     those rows alone read again at 2L, until L is the whole string.  The
@@ -484,12 +510,19 @@ def _reduced_prefix(r0: DigitString, depth: int, nums: np.ndarray,
     L = min(4 * want + THRESHOLD_BITS, full)
     while rows:
         whole = L == full
+        # the places whose whole window the read holds hold enough survivors
+        # for almost every row; only a row they leave short counts the
+        # places its tail settles too
+        held = L if whole else L - (THRESHOLD_BITS - 1)
         short = []
         for part in _row_parts(rows, L):
             d = _rotated_rows(r0.digits, 2, depth, nums[part, None], np.arange(L))
-            keep, decided = _decided_keep(d == 1, L, whole, thr)
-            for i, digs, kept in zip(part, d[:, :decided], keep[:, :decided]):
-                survivors = digs.compress(kept)
+            keep = ~_deletion_mask(d == 1, thr)
+            for i, digs, kept in zip(part, d, keep):
+                survivors = digs[:held].compress(kept[:held])
+                if survivors.size < want and not whole:
+                    decided = int(_decided_places(digs == 1, L, thr))
+                    survivors = digs[:decided].compress(kept[:decided])
                 if survivors.size >= want or whole:
                     if survivors.size == 0:
                         raise EmptyResult("no digit survives the reduction")

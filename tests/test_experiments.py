@@ -21,8 +21,9 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 _grid_leading_windows, _qutrit_leading_digit,
                                 _qutrit_leading_digits, _stage1_leads, _trace_rows,
                                 _trace_sources)
-from digitq.phase import PAdicRational, _rotated_rows, _rotation_operator_cached, phase_rotate
-from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _euler_step,
+from digitq.phase import (BlockOperator, PAdicRational, _rotated_rows, _rotation_operator_cached,
+                          apply, extend_to, omega_root, operator_pow, phase_rotate)
+from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _deletion_mask, _euler_step,
                               _reduced_values, _window_u64, partial_reduce, reduce_compound,
                               weak_reduction_walk)
 from digitq.rng import derive_seed, make_rng
@@ -224,6 +225,20 @@ def undecided_stage1_config(t2):
     return StateConfig(DigitString(3, digits), n_max=1, inner_dyadic_depth=0)
 
 
+def spelled(t, n):
+    """The first n binary digits of the threshold t."""
+    return np.array([t.digit(j) for j in range(1, n + 1)], dtype=np.uint8)
+
+
+def t1_spelling_config(t1):
+    """Qutrit config whose seed opens with t1's 64 digits, 0 as a zero and
+    1 as a 2: unrotated by the triadic angle, its zero/nonzero indicator
+    is t1's digits whatever the dyadic angle."""
+    digits = champernowne(3, 3 ** 9).digits.copy()
+    digits[:64] = 2 * spelled(t1, 64)
+    return StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
+
+
 class TestTraceRule:
     def test_small_run_passes(self):
         rep = trace_rule_experiment(Fraction(1, 2), Fraction(1, 3),
@@ -346,6 +361,18 @@ class TestBatchedTraceRule:
         return rows
 
     @staticmethod
+    def recording_reads(monkeypatch):
+        """The (dyadic numerators, places) of every ``_trace_rows`` gather."""
+        reads = []
+
+        def recording(d, rank, bits0, grid1, grid2, e1s, e2s, places):
+            reads.append((e2s.tolist(), places))
+            return _trace_rows(d, rank, bits0, grid1, grid2, e1s, e2s, places)
+
+        monkeypatch.setattr(experiments, "_trace_rows", recording)
+        return reads
+
+    @staticmethod
     def assert_batch_matches(qcfg, angle_pairs, depth1, depth2, rng, n=16):
         grid1, grid2 = SampleGrid(depth1, 3), SampleGrid(depth2)
         for th1, th2 in angle_pairs:
@@ -392,20 +419,23 @@ class TestBatchedTraceRule:
         assert got.tolist() == 3 * [qutrit_state(qcfg, ang).leading_digit]
 
     def test_stage1_prefix_short_of_a_window_falls_back(self, monkeypatch):
-        # the first 729 places hold a zero and then 40 nonzero digits, none
-        # of them decided there, so the batch knows one stage-1 digit; read
-        # zero padded, its window would want a zero where the state leads
-        # with a nonzero digit
+        # the first 729 places hold a zero and then t2's first 40 digits as
+        # nonzero digits, so the first stage-1 window stays open in every
+        # read: the row regrows through each read size to W and goes to the
+        # per-sample reader.  Read zero padded, its window would want a
+        # zero where the state leads with a nonzero digit
+        t1, t2 = qutrit_thresholds(2.9, 1.0)
         digits = np.zeros(3 ** 8, dtype=np.uint8)
-        digits[1:41] = 2
+        digits[1:41] = spelled(t2, 40) + 1
         digits[3 ** 6:] = champernowne(3, 3 ** 8 - 3 ** 6).digits
         qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=0)
         ang = QutritAngles(2.9, 1.0, Fraction(0), Fraction(0))
-        t1, t2 = qutrit_thresholds(2.9, 1.0)
+        reads = self.recording_reads(monkeypatch)
         fallback = self.counting_fallback(monkeypatch)
         zero = np.zeros(1, dtype=np.int64)
         got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(0, 3), SampleGrid(0),
                                      zero, zero)
+        assert [places for _, places in reads] == [32, 128, 512, 729]
         assert len(fallback) == 1
         assert got.tolist() == [qutrit_state(qcfg, ang).leading_digit] == [2]
 
@@ -439,15 +469,11 @@ class TestBatchedTraceRule:
 
     def test_rows_a_short_read_leaves_undecided_read_again_inside_the_batch(
             self, monkeypatch):
-        # the first 600 seed digits hold a 2 every 12 places and zeros
-        # between them, so rows such as those at triadic numerator 0 (the
-        # identity, every third row here) read too few stage-1 digits in
-        # 256 places; all 729 places decide them, and only those rows read
-        # them
-        digits = champernowne(3, 3 ** 9).digits.copy()
-        digits[:600] = 0
-        digits[1:600:12] = 2
-        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
+        # at t2 = 1/2 stage 1 keeps every digit, and the seed's first 64
+        # places spell t1 as zeros and nonzero digits, so rows such as those
+        # at triadic numerator 0 (the identity, every third row here) leave
+        # the stage-2 comparison open in 32 places; 128 places settle it,
+        # and only those rows read them
         reads = []
 
         def recording(rot, *args):
@@ -459,17 +485,18 @@ class TestBatchedTraceRule:
         fallback = self.counting_fallback(monkeypatch)
         rng = make_rng(21)
         grid1, grid2 = SampleGrid(7, 3), SampleGrid(12)
-        for th1, th2 in [(Fraction(1), Fraction(1, 3)), (2.9, 1.0),
-                         (Fraction(1, 2), Fraction(1, 3))]:
+        for th1 in (Fraction(1, 3), 2.2, Fraction(1, 2)):
+            th2 = Fraction(1, 2)
             t1, t2 = qutrit_thresholds(th1, th2)
+            qcfg = t1_spelling_config(t1)
             e1s = rng.integers(0, grid1.modulus, size=16)
             e1s[::3] = 0
             e2s = rng.integers(0, grid2.modulus, size=16)
             reads.clear()
             got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
             (first, undecided), (again, left) = reads
-            assert first == (16, 256) and 0 < undecided < 16
-            assert again == (undecided, 729) and left == 0
+            assert first == (16, 32) and 6 <= undecided < 16
+            assert again == (undecided, 128) and left == 0
             for lead, e1, e2 in zip(got, e1s, e2s):
                 ang = QutritAngles(th1, th2, PAdicRational(3, int(e1), 7),
                                    PAdicRational(2, int(e2), 12))
@@ -482,26 +509,20 @@ class TestBatchedTraceRule:
                       n_samples=40, seed=6)
         want = trace_rule_experiment(**kwargs).to_json_dict()["statistics"]
         for rows in (1, 7, 40):
-            # a budget of `rows` first reads of 256 places
-            monkeypatch.setattr(reduction, "_READ_PLACES", rows * 256)
+            # a budget of `rows` first reads of 32 places
+            monkeypatch.setattr(reduction, "_READ_PLACES", rows * 32)
             assert trace_rule_experiment(**kwargs).to_json_dict()["statistics"] == want
 
     def test_every_read_holds_at_most_the_budget(self, monkeypatch):
         # the seed of test_rows_a_short_read_leaves_undecided_read_again_inside_the_batch:
-        # at triadic numerator 0 every row reads too few stage-1 digits in
-        # 256 places, so all 64 rows read again at W = 729 places, and those
-        # reads split to stay within the budget
-        digits = champernowne(3, 3 ** 9).digits.copy()
-        digits[:600] = 0
-        digits[1:600:12] = 2
-        qcfg = StateConfig(DigitString(3, digits), n_max=7, inner_dyadic_depth=12)
-        reads = []
-
-        def recording(d, rank, bits0, grid1, grid2, e1s, e2s, places):
-            rows = _trace_rows(d, rank, bits0, grid1, grid2, e1s, e2s, places)
-            reads.append((e2s.tolist(), places))
-            return rows
-
+        # at triadic numerator 0 every row leaves its comparison open in 32
+        # places, so all 64 rows read again at 128 places, and under a
+        # budget of 16 such rows those reads split to stay within it
+        monkeypatch.setattr(reduction, "_READ_PLACES", 16 * 128)
+        th1, th2 = Fraction(1, 2), Fraction(1, 2)
+        t1, t2 = qutrit_thresholds(th1, th2)
+        qcfg = t1_spelling_config(t1)
+        reads = self.recording_reads(monkeypatch)
         leads_by_read = []
 
         def leads_recording(rot, *args):
@@ -509,23 +530,20 @@ class TestBatchedTraceRule:
             leads_by_read.append(leads)
             return leads
 
-        monkeypatch.setattr(experiments, "_trace_rows", recording)
         monkeypatch.setattr(experiments, "_stage1_leads", leads_recording)
         fallback = self.counting_fallback(monkeypatch)
         grid1, grid2 = SampleGrid(7, 3), SampleGrid(12)
         e1s = np.zeros(64, dtype=np.int64)
         e2s = make_rng(24).choice(grid2.modulus, size=64, replace=False)
-        th1, th2 = Fraction(1, 2), Fraction(1, 3)
-        t1, t2 = qutrit_thresholds(th1, th2)
         got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
         budget = reduction._READ_PLACES
         assert all(len(rows) * places <= max(budget, places) for rows, places in reads)
-        assert {places for _, places in reads} == {256, 729}
+        assert {places for _, places in reads} == {32, 128}
         undecided = [e2 for (rows, places), leads in zip(reads, leads_by_read)
-                     if places == 256 for e2, lead in zip(rows, leads) if lead < 0]
-        read_again = [e2 for rows, places in reads if places == 729 for e2 in rows]
+                     if places == 32 for e2, lead in zip(rows, leads) if lead < 0]
+        read_again = [e2 for rows, places in reads if places == 128 for e2 in rows]
         assert len(undecided) == 64 and read_again == undecided
-        assert len([1 for _, places in reads if places == 729]) > 1
+        assert len([1 for _, places in reads if places == 128]) > 1
         assert fallback == []
         for lead, e2 in zip(got, e2s):
             ang = QutritAngles(th1, th2, PAdicRational(3, 0, 7),
@@ -576,11 +594,6 @@ class TestStage1Read:
         except EmptyResult:
             return -1
 
-    @staticmethod
-    def spelled(t, n):
-        """The first n binary digits of the threshold t."""
-        return np.array([t.digit(j) for j in range(1, n + 1)], dtype=np.uint8)
-
     def assert_leads(self, rows, t1, t2, rng):
         """Whole rows lead as the oracle does (-1 exactly where it reduces
         to nothing); a prefix's lead holds whatever digits follow it.
@@ -600,7 +613,11 @@ class TestStage1Read:
                 continue
             for _ in range(2):
                 tail = self.random_rows(rng, rng.integers(1, 401))
-                assert self.oracle_lead(np.concatenate([row, tail]), t1, t2) == lead
+                try:
+                    want = self.oracle_lead(np.concatenate([row, tail]), t1, t2)
+                except SuffixTooShort:
+                    continue
+                assert want == lead
                 continued_checks += 1
         return whole_checks, continued_checks
 
@@ -627,12 +644,12 @@ class TestStage1Read:
         for _ in range(100):
             S = rng.integers(1, 9)
             t1, t2 = qutrit_thresholds(float(rng.uniform(0.05, 3.1)), Fraction(1, 2))
-            head = self.spelled(t1, 64) * rng.integers(1, 3, size=(S, 64))
+            head = spelled(t1, 64) * rng.integers(1, 3, size=(S, 64))
             tail = self.random_rows(rng, (S, rng.integers(0, 337)))
             checks += self.assert_leads(np.hstack([head, tail]), t1, t2, rng)
             t1, t2 = qutrit_thresholds(Fraction(1), float(rng.uniform(0.05, 3.1)))
             zeros = np.zeros((S, rng.integers(64, 338)), dtype=np.uint8)
-            last = np.tile(self.spelled(t2, 63) + 1, (S, 1))
+            last = np.tile(spelled(t2, 63) + 1, (S, 1))
             checks += self.assert_leads(np.hstack([zeros, last]), t1, t2, rng)
         assert checks.min() > 100
 
@@ -1178,13 +1195,24 @@ class TestBatchedStep1:
 
     def test_rows_short_of_survivors_near_a_pole_read_again_and_agree(self, gathers):
         # near theta = 0 only lo digits and hi digits before a long run of
-        # 1s survive, and the unrotated seed, nine-tenths 1s, has too few
-        # in its first read: that row reads again, at twice the places
+        # 1s survive, so on a seed of nine-tenths 1s some rotated rows keep
+        # fewer than 96 digits among the places their first read decides:
+        # those rows, and only they, read again at twice the places.  The
+        # rows are found from the continuations: a place is decided when
+        # the all-0 and the all-1 continuations of the read keep it alike
         cfg = StateConfig(_biased_seed(4096, 0.9, 7), n_max=4)
         thr = BinaryThreshold.from_angle(1e-3)
         rs = _reduced_values(cfg.seed_string, 4, np.arange(16), thr)
+        short = []
+        for m in range(16):
+            row = phase_rotate(cfg.seed_string, PAdicRational(2, m, 4)).digits[:448] == 1
+            zeros, ones = (~_deletion_mask(np.concatenate([row, np.full(64, b)]), thr)[:448]
+                           for b in (False, True))
+            differ = np.flatnonzero(zeros != ones)
+            if np.count_nonzero(zeros[:differ[0] if differ.size else 448]) < 96:
+                short.append(m)
         assert gathers[0] == (list(range(16)), 448)
-        assert 0 in gathers[1][0] and gathers[1][1] == 896
+        assert short and gathers[1] == (short, 896)
         assert rs == [self._constructor_value(cfg.seed_string, PAdicRational(2, m, 4), thr)
                       for m in range(16)]
         _assert_matches_reference(1e-3, 100, jitter_depth=4, max_steps=200, cfg=cfg)
@@ -1296,6 +1324,43 @@ class TestReports:
         assert observed == {"square-law mismatches (n<=8)": 0,
                             "i^2 = complement mismatches": 20,
                             "i^4 = identity mismatches": 0}
+
+    @staticmethod
+    def string_only_counts(root, seed, n_strings, length):
+        """The three algebra counts with every law checked on the strings,
+        as the suite counted them before it compared operator tables."""
+        roots = [root(2, n) for n in range(9)]
+        s = DigitString(2, make_rng(seed).integers(0, 2, size=n_strings * length,
+                                                   dtype=np.uint8))
+
+        def mismatched(a, b):
+            differs = (a.digits != b.digits).reshape(n_strings, length)
+            return int(np.count_nonzero(differs.any(axis=1)))
+
+        return [sum(mismatched(apply(operator_pow(roots[n], 2), s),
+                               apply(extend_to(roots[n - 1], roots[n].size), s))
+                    for n in range(1, 9)),
+                mismatched(apply(operator_pow(roots[1], 2), s), phi_shift(s, 1)),
+                mismatched(apply(operator_pow(roots[1], 4), s), s)]
+
+    @pytest.mark.parametrize("broken", [1, 8])
+    def test_algebra_tables_count_what_the_strings_count(self, monkeypatch, broken):
+        # a root with two places of its table swapped breaks the laws it
+        # enters: at n = 1 the square law at n = 1 and 2 and i^2 =
+        # complement, at n = 8 the square law at n = 8
+        def mutated(p, n):
+            op = omega_root(p, n)
+            if n != broken:
+                return op
+            perm = op.perm.copy()
+            perm[[0, 1]] = perm[[1, 0]]
+            return BlockOperator(p, perm, op.shift)
+
+        monkeypatch.setattr(experiments, "omega_root", mutated)
+        rep = operator_algebra_checks(seed=3, n_strings=20, length=512)
+        want = self.string_only_counts(mutated, 3, 20, 512)
+        assert [stat.observed for stat in rep.statistics] == want
+        assert want[0] > 0 and (want[1] > 0) == (broken == 1) and want[2] == 0
 
     def test_algebra_checks_refuse_a_length_off_the_block(self):
         # 2 x 128 digits fill one 256-digit block, but no string does

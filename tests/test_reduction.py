@@ -14,7 +14,7 @@ from digitq.errors import (EmptyResult, LengthNotDivisible, NonConvergence,
 from digitq import reduction
 from digitq.phase import PAdicRational, apply, phase_rotate, rotation_operator
 from digitq.states import qutrit_thresholds
-from digitq.reduction import (THRESHOLD_BITS, BinaryThreshold, _decided_keep,
+from digitq.reduction import (THRESHOLD_BITS, BinaryThreshold, _decided_places,
                               _deletion_mask, _reduced_prefix, _reduced_values,
                               _window_u64, biased_quantile_threshold,
                               partial_reduce, project, reduce_Rj,
@@ -699,38 +699,82 @@ class TestEvolveODE:
 
 
 class TestDecidedKeep:
-    """A prefix decides the places whose whole THRESHOLD_BITS-digit window
-    it holds, and the whole string decides every place."""
+    """A prefix decides its leading places up to the first whose
+    comparison its digits leave open, at least those whose whole
+    THRESHOLD_BITS-digit window it holds."""
+
+    @staticmethod
+    def continued_keep(prefix, tail, thr):
+        """The keep mask of the prefix's places once ``tail`` follows it."""
+        return ~_deletion_mask(np.concatenate([prefix, tail]), thr)[:prefix.size]
+
+    def assert_settled(self, prefix, thr, rng):
+        """The decided count is the first place where the all-0 and the
+        all-1 continuations disagree (each window's least and greatest
+        value), and random continuations keep what it decides.  Returns
+        the count."""
+        n = prefix.size
+        keep, decided = ~_deletion_mask(prefix, thr), _decided_places(prefix, n, thr)
+        zeros, ones = (self.continued_keep(prefix, np.full(THRESHOLD_BITS, b), thr)
+                       for b in (False, True))
+        differ = np.flatnonzero(zeros != ones)
+        assert decided == (differ[0] if differ.size else n)
+        assert decided >= n - (THRESHOLD_BITS - 1)
+        for _ in range(2):
+            tail = rng.integers(0, 2, int(rng.integers(0, 200))).astype(bool)
+            assert np.array_equal(keep[:decided],
+                                  self.continued_keep(prefix, tail, thr)[:decided])
+        return decided
 
     def test_decided_places_agree_with_every_continuation(self):
         rng = np.random.default_rng(16)
         for _ in range(200):
-            n = int(rng.integers(THRESHOLD_BITS, 400))
+            n = int(rng.integers(1, 400))
             prefix = rng.random(n) < rng.uniform(0.05, 0.95)
-            thr = random_threshold(rng)
-            keep, decided = _decided_keep(prefix, n, False, thr)
-            assert decided == n - (THRESHOLD_BITS - 1)
-            for _ in range(2):
-                tail = rng.integers(0, 2, int(rng.integers(0, 200))).astype(bool)
-                full = np.concatenate([prefix, tail])
-                assert np.array_equal(keep[:decided], ~_deletion_mask(full, thr)[:decided])
-            assert _decided_keep(prefix, n, True, thr)[1] == n
+            self.assert_settled(prefix, random_threshold(rng), rng)
+
+    def test_tail_windows_within_one_digit_of_the_threshold(self):
+        # the prefix ends in t's first m digits, so the window at n - m
+        # holds them and nothing else: it stays open whenever t has a 1
+        # past them; with its last digit flipped the window settles there
+        rng = np.random.default_rng(17)
+        opened = settled = 0
+        for _ in range(200):
+            thr = BinaryThreshold(int(rng.integers(1, 1 << 63)) << 1 | 1)
+            m = int(rng.integers(1, THRESHOLD_BITS))
+            head = rng.random(int(rng.integers(0, 200))) < 0.5
+            spelled = np.array([thr.digit(j) for j in range(1, m + 1)], dtype=bool)
+            n = head.size + m
+            assert self.assert_settled(np.concatenate([head, spelled]), thr, rng) <= n - m
+            spelled[-1] ^= True
+            decided = self.assert_settled(np.concatenate([head, spelled]), thr, rng)
+            opened += decided < n - m
+            settled += decided > n - m
+        assert opened > 0 and settled > 100
 
     def test_the_first_undecided_place_waits_for_the_next_digit(self):
         # at t = 2^-64 a 0 is deleted iff a 1 lies in its window, so the
         # fate of place n - 63 of n 0s turns on digit n
         n = 100
-        keep, decided = _decided_keep(np.zeros(n, dtype=bool), n, False, BinaryThreshold(1))
+        zeros = np.zeros(n, dtype=bool)
+        decided = _decided_places(zeros, n, BinaryThreshold(1))
+        assert decided == n - (THRESHOLD_BITS - 1)
         for nxt, kept in ((False, True), (True, False)):
-            full = np.append(np.zeros(n, dtype=bool), nxt)
+            full = np.append(zeros, nxt)
             assert (~_deletion_mask(full, BinaryThreshold(1)))[decided] == kept
-        assert keep[:decided].all()
+        assert (~_deletion_mask(zeros, BinaryThreshold(1)))[:decided].all()
 
     def test_row_form_counts_per_row(self):
         rows = np.zeros((4, 200), dtype=bool)
         n = np.array([0, 63, 64, 200])
-        assert _decided_keep(rows, n, False, BinaryThreshold(1))[1].tolist() == [0, 0, 1, 137]
-        assert _decided_keep(rows, n, True, BinaryThreshold(1))[1].tolist() == n.tolist()
+        assert _decided_places(rows, n, BinaryThreshold(1)).tolist() == [0, 0, 1, 137]
+        # random rows, each with its own n and lo past it, count as one-row reads
+        rng = np.random.default_rng(18)
+        n = rng.integers(1, 200, 40)
+        rows = (rng.random((40, 200)) < 0.5) & (np.arange(200) < n[:, None])
+        thr = random_threshold(rng)
+        assert _decided_places(rows, n, thr).tolist() == [
+            _decided_places(row[:m], m, thr) for row, m in zip(rows, n.tolist())]
 
 
 class TestReducedPrefix:
