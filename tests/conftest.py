@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from digitq import reduction
+from digitq.rng import MASK64
+
+
+def numpy_philox(seed: int) -> np.random.Generator:
+    """numpy's Philox generator under the key ``make_rng`` uses, for tests
+    that draw what the package's stream does not (floats, choices): the
+    stream's integer draws are bit-exact with this generator's."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed & MASK64)))
 
 
 @pytest.fixture

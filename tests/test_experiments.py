@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import numpy_philox
 
 from digitq.digits import (DigitString, _digits_to_int, champernowne,
                            concatenated_squares, phi_shift)
@@ -312,7 +313,7 @@ class TestTraceRule:
         # random angles, then the suite's anchor pairs: theta1 = pi has
         # t1 = 0, theta2 = pi/2 has t2 = 1/2, and theta* = 2 acos(1/sqrt 3);
         # at depths 5/9 and at the experiment's own 7/12
-        rng = make_rng(3)
+        rng = numpy_philox(3)
         theta_star = 2 * math.acos(1 / math.sqrt(3))
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(25)]
@@ -325,7 +326,7 @@ class TestTraceRule:
     def test_fast_path_grows_past_a_zero_run(self):
         # no nonzero digit in the first 12 triadic blocks, so the harness
         # must grow its seed prefix before it can read any digit
-        rng = make_rng(4)
+        rng = numpy_philox(4)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(20)]
         self._assert_fast_path_matches(zero_run_config(), pairs, 7, 12, rng)
@@ -387,7 +388,7 @@ class TestBatchedTraceRule:
 
     @pytest.mark.parametrize("depth1,depth2", [(5, 9), (7, 12)])
     def test_matches_the_harness(self, monkeypatch, depth1, depth2):
-        rng = make_rng(5)
+        rng = numpy_philox(5)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(25)]
         fallback = self.counting_fallback(monkeypatch)
@@ -399,7 +400,7 @@ class TestBatchedTraceRule:
         # no nonzero digit in the first 12 triadic blocks: the batch's 729
         # places are a rotated zero block, which leaves some rows undecided
         fallback = self.counting_fallback(monkeypatch)
-        rng = make_rng(4)
+        rng = numpy_philox(4)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(20)]
         self.assert_batch_matches(zero_run_config(), pairs, 7, 12, rng, n=64)
@@ -534,7 +535,7 @@ class TestBatchedTraceRule:
         fallback = self.counting_fallback(monkeypatch)
         grid1, grid2 = SampleGrid(7, 3), SampleGrid(12)
         e1s = np.zeros(64, dtype=np.int64)
-        e2s = make_rng(24).choice(grid2.modulus, size=64, replace=False)
+        e2s = numpy_philox(24).choice(grid2.modulus, size=64, replace=False)
         got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
         budget = reduction._READ_PLACES
         assert all(len(rows) * places <= max(budget, places) for rows, places in reads)
@@ -622,7 +623,7 @@ class TestStage1Read:
         return whole_checks, continued_checks
 
     def test_matches_the_two_stage_reduction(self):
-        rng = make_rng(18)
+        rng = numpy_philox(18)
         checks = np.zeros(2, dtype=int)
         for _ in range(300):
             rows = self.random_rows(rng, (rng.integers(1, 9), rng.integers(1, 401)))
@@ -639,7 +640,7 @@ class TestStage1Read:
         # nonzero digit is wanted, and 64 or more zeros precede t2's first
         # 63 digits, the last nonzero digits of the row, so the first of
         # them is one digit short of being decided
-        rng = make_rng(19)
+        rng = numpy_philox(19)
         checks = np.zeros(2, dtype=int)
         for _ in range(100):
             S = rng.integers(1, 9)
@@ -1075,7 +1076,7 @@ def _assert_matches_reference(theta0, ensemble_size, **kw):
 
 
 def _biased_seed(n: int, p_one: float, seed: int) -> DigitString:
-    return DigitString(2, (make_rng(seed).random(n) < p_one).astype(np.uint8))
+    return DigitString(2, (numpy_philox(seed).random(n) < p_one).astype(np.uint8))
 
 
 class TestBatchedStep1:
