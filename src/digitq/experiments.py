@@ -26,15 +26,15 @@ triadic odometer, then the dyadic one at each nonzero digit's rank)
 gives the first 32 places of every rotated seed as the rows of a
 matrix; the read looks each verdict up by rank and scatters only the
 window's 64 stage-1 digits.  Only the rows 32 places leave undecided
-read again, all of them together, at 4x the places up to 3^(n_max-1),
-and the rare row those leave undecided goes through the per-sample
-reader, the same read on one row of a growing slice of the seed's
-digits rotated by the constructor's own rotation stage.  Unit tests pin
-the gather to that rotation stage, the batch to the per-sample reader
-and it to the constructor, ``qutrit_state``, whose ``_qutrit_reduce`` is
-the read's oracle.  Dyadic grid sweeps take a column of numerators, so the leading
-64 digits of many rotated seeds come from one gather, and polarization,
-interference and seed invariance read nothing but those cached windows.
+read again, all of them together, at 4x the places, up to 3^(n_max-1)
+and on past it until the seed runs short of the q2 blocks a read needs;
+the rare row still undecided then is built by the constructor.  Unit
+tests pin the gather to the constructor's rotation stage, and the batch
+and the read to the constructor, ``qutrit_state``, whose
+``_qutrit_reduce`` is the read's oracle.  Dyadic grid sweeps take a
+column of numerators, so the leading 64 digits of many rotated seeds
+come from one gather, and polarization, interference and seed
+invariance read nothing but those cached windows.
 Every read of many rows goes in ``reduction._row_parts``.
 The EPR correlation is an exact digit sum.  Weak reduction reads every
 walk's first step at once: step 1 depends only on theta0 and the start
@@ -69,7 +69,7 @@ from .reduction import (K_GUARD, THRESHOLD_BITS, BinaryThreshold, _angle_float,
                         _euler_step, _reduced_values, _row_parts, _settled, _window_u64,
                         weak_reduction_walk)
 from .rng import derive_seed, make_rng
-from .states import (StateConfig, _qutrit_pipeline, default_config,
+from .states import (StateConfig, _qutrit_pipeline, _qutrit_reduce, default_config,
                      default_qutrit_config, qutrit_thresholds)
 
 __all__ = [
@@ -285,11 +285,9 @@ def polarization_experiment(theta, grid: SampleGrid, cfg: Optional[StateConfig] 
 # ---------------------------------------------------------------------------
 # three-level trace rule
 
-def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
-                  whole: bool) -> np.ndarray:
+def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold) -> np.ndarray:
     """Leading digit of the three-level state on each row of ``rot``, a
-    digit matrix (one rotated prefix per row, whole strings when
-    ``whole``; uint8 from the pipeline and the batch), read
+    digit matrix (one rotated prefix per row; uint8 from the batch), read
     off stage 1; -1 where the row does not decide it.  ``rank``, the
     running count of nonzero digits, scatters the nonzero digits to the
     front (zeros stay), looks each nonzero place's verdict up in their
@@ -299,7 +297,7 @@ def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
     and nonzero otherwise.  That window is read from the first
     THRESHOLD_BITS known kept places, scattered there by their own running
     count, and the comparison is settled (``reduction._settled``) by as
-    many of its digits as are known: all of them when ``whole``."""
+    many of its digits as are known."""
     nonzero = rot != 0
     rank = np.cumsum(nonzero, axis=1, dtype=np.int32)
     places = rot.shape[1]
@@ -307,7 +305,7 @@ def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
     np.put_along_axis(ranked, np.where(nonzero, rank - 1, places), rot == 2, axis=1)
     ranked = ranked[:, :places]
     kept = ~_deletion_mask(ranked, t2)
-    decided = rank[:, -1] if whole else _decided_places(ranked, rank[:, -1], t2)
+    decided = _decided_places(ranked, rank[:, -1], t2)
     keep = np.take_along_axis(kept, np.maximum(rank - 1, 0), axis=1) | ~nonzero
     keep &= rank <= decided[:, None]
     kept_rank = np.cumsum(keep, axis=1, dtype=np.int32)
@@ -318,43 +316,34 @@ def _stage1_leads(rot: np.ndarray, t1: BinaryThreshold, t2: BinaryThreshold,
     w = _window_u64(hi[:, :THRESHOLD_BITS], 1)[:, 0]
     wanted = keep & (nonzero == t1.at_or_below(w)[:, None])
     lead = rot[np.arange(rot.shape[0]), wanted.argmax(axis=1)].astype(np.int64)
-    settled = whole | _settled(w, n1, t1)
-    return np.where(settled & wanted.any(axis=1), lead, -1)
+    return np.where(_settled(w, n1, t1) & wanted.any(axis=1), lead, -1)
 
 
 def _qutrit_leading_digit(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                           q1: PAdicRational, q2: PAdicRational) -> int:
-    """Leading digit of the three-level state, read off stage 1 by
-    ``_stage1_leads`` on growing slices of the seed's digits run through
-    the constructor's own rotation stage.  The prefix grows 4x until it
-    decides the digit; raises DegenerateStatistic when the whole seed
-    does not."""
-    d0 = cfg.seed_string.digits
-    prefix = 4096
-    while True:
-        whole = prefix >= d0.size
-        try:
-            d = _qutrit_pipeline(d0[:prefix], q1, q2)
-        except (EmptyResult, LengthNotDivisible):
-            pass  # the prefix holds no nonzero digit or no whole block: grow it
-        else:
-            lead = _stage1_leads(d[None], t1, t2, whole)[0]
-            if lead >= 0:
-                return int(lead)
-        if whole:
-            raise DegenerateStatistic("three-level state collapsed to nothing")
-        prefix *= 4
+    """Leading digit of the three-level state at (q1, q2), built by the
+    constructor on the whole seed (``_qutrit_pipeline``, then
+    ``_qutrit_reduce``, as ``qutrit_state`` builds it), for the rows the
+    batch cannot read.  A seed with no whole block to rotate, or a state
+    that reduces to nothing, raises DegenerateStatistic; fewer than
+    K_GUARD nonzero digits raise SuffixTooShort, as in the constructor."""
+    try:
+        return _qutrit_reduce(_qutrit_pipeline(cfg.seed_string.digits, q1, q2),
+                              t1, t2).leading_digit
+    except (EmptyResult, LengthNotDivisible) as err:
+        raise DegenerateStatistic("three-level state collapsed to nothing") from err
 
 
-def _trace_sources(d: np.ndarray, W: int,
+def _trace_sources(d: np.ndarray, cover: int,
                    depth2: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(rank, bits0) of ``_trace_rows`` for the first W places of the
-    digit array ``d``: each place's nonzero rank (at a zero, that of the
-    nonzero digit before it), and the seed's nonzero digits as bits, in
-    whole depth2 blocks covering one more than the W places hold, so that
-    the pipeline's rotated string reaches W places.  None when the seed
-    holds too few nonzero digits."""
-    nonzero = d[:W] != 0
+    """(rank, bits0) of ``_trace_rows`` for the first ``cover`` places of
+    the digit array ``d``: each place's nonzero rank (at a zero, that of
+    the nonzero digit before it), and the seed's nonzero digits as bits, in
+    whole depth2 blocks covering one more than the ``cover`` places hold,
+    so that the pipeline's rotated string reaches ``cover`` places.  None
+    when the seed holds too few nonzero digits, always so when ``cover``
+    reaches the seed's end."""
+    nonzero = d[:cover] != 0
     block2 = 1 << max(depth2 - 1, 0)
     need = -(-(np.count_nonzero(nonzero) + 1) // block2) * block2
     bits0 = d[d != 0][:need] - 1
@@ -372,8 +361,8 @@ def _trace_rows(d: np.ndarray, rank: np.ndarray, bits0: np.ndarray, grid1: Sampl
     place and shift; a nonzero source digit of rank k reads its bit from
     the dyadic odometer at k, and the rotated digit is (bit + 1, or 0 for
     a zero, + shift) mod 3.  ``rank`` and ``bits0`` come from
-    ``_trace_sources`` for W places, W a multiple of the triadic block and
-    at least ``places``."""
+    ``_trace_sources`` for a cover of places that is a multiple of the
+    triadic block and at least ``places``."""
     idx1, sh1 = _rotated_sources(3, grid1.depth, e1s[:, None], np.arange(places))
     bit = _rotated_rows(bits0, 2, grid2.depth, e2s[:, None], rank[idx1])
     return _add_mod(np.where(d[idx1] != 0, 1 + bit, 0), sh1, 3)
@@ -382,37 +371,39 @@ def _trace_rows(d: np.ndarray, rank: np.ndarray, bits0: np.ndarray, grid1: Sampl
 def _qutrit_leading_digits(cfg: StateConfig, t1: BinaryThreshold, t2: BinaryThreshold,
                            grid1: SampleGrid, grid2: SampleGrid, e1s: np.ndarray,
                            e2s: np.ndarray) -> np.ndarray:
-    """``_qutrit_leading_digit`` at every sampled pair of numerators
-    (e1s[i]/3^depth1, e2s[i]/2^depth2), one row per pair.
+    """Leading digit of the three-level state at every sampled pair of
+    numerators (e1s[i]/3^depth1, e2s[i]/2^depth2), one row per pair.
 
-    Blocks rotate independently, so the first W = 3^(n_max-1) places of a
-    rotated seed come from its first W digits and the first whole q2
-    blocks of its nonzero digits.  Both gathers run at the grid depths: a
-    numerator divisible by the base reads the same digits as its reduced
-    form one level down.  Every row first reads min(THRESHOLD_BITS // 2,
-    W) places (``_trace_rows``), which settle almost every comparison
-    (``reduction._decided_places``); a prefix's lead holds for every longer
-    prefix, so only the rows of the call a read leaves undecided read
-    again, at 4x the places, up to W.  Each read goes in
-    ``reduction._row_parts``.  Rows still undecided go through
-    ``_qutrit_leading_digit``, and so does every row when the seed holds
-    no nonzero digit past the q2 blocks that cover W.
+    Blocks rotate independently, so the first P places of a rotated seed,
+    P a multiple of W = 3^(n_max-1), come from its first P digits and the
+    first whole q2 blocks of its nonzero digits (``_trace_sources``).
+    Both gathers run at the grid depths: a numerator divisible by the
+    base reads the same digits as its reduced form one level down.  Every
+    row first reads min(THRESHOLD_BITS // 2, W) places (``_trace_rows``),
+    which settle almost every comparison (``reduction._decided_places``);
+    a prefix's lead holds for every longer prefix, so only the rows of the
+    call a read leaves undecided read again, at 4x the places: up to W,
+    then past it, capped at the seed's length, with the sources for the
+    read's places rounded up to a multiple of W.  Each read goes in
+    ``reduction._row_parts``.  The reads stop where the seed no longer
+    holds the q2 blocks a read needs, which is before its last digit, so
+    no read holds a whole row; rows still undecided then, and every row
+    when the seed is short of a q2 block already at W, go through the
+    constructor, ``_qutrit_leading_digit``.
     """
     d = cfg.seed_string.digits
     W = 3 ** max(cfg.n_max - 1, 0)
-    sources = _trace_sources(d, W, grid2.depth)
     leads = np.full(e1s.size, -1, dtype=np.int64)
-    if sources is not None:
-        rank, bits0 = sources
-        rows, places = np.arange(e1s.size), min(THRESHOLD_BITS // 2, W)
-        while rows.size:
-            for part in _row_parts(rows, places):
-                rot = _trace_rows(d, rank, bits0, grid1, grid2, e1s[part], e2s[part], places)
-                leads[part] = _stage1_leads(rot, t1, t2, False)
-            if places == W:
-                break
-            rows, places = rows[leads[rows] < 0], min(4 * places, W)
-    for i in np.flatnonzero(leads < 0):
+    rows, places = np.arange(e1s.size), min(THRESHOLD_BITS // 2, W)
+    sources = _trace_sources(d, W, grid2.depth)
+    while rows.size and sources is not None:
+        for part in _row_parts(rows, places):
+            rot = _trace_rows(d, *sources, grid1, grid2, e1s[part], e2s[part], places)
+            leads[part] = _stage1_leads(rot, t1, t2)
+        rows, places = rows[leads[rows] < 0], min(4 * places, W if places < W else d.size)
+        if places > W and rows.size:
+            sources = _trace_sources(d, -(-places // W) * W, grid2.depth)
+    for i in rows:
         leads[i] = _qutrit_leading_digit(cfg, t1, t2,
                                          PAdicRational(3, int(e1s[i]), grid1.depth),
                                          PAdicRational(2, int(e2s[i]), grid2.depth))
@@ -436,10 +427,11 @@ def trace_rule_experiment(theta1, theta2, grid1: SampleGrid, grid2: SampleGrid,
 
     The samples' leading digits come from ``_qutrit_leading_digits``: one
     row per sample, every row read at 32 places and the rows those leave
-    undecided again at 4x the places, up to 3^(n_max-1); the per-sample
-    ``_qutrit_leading_digit`` is the fallback for rows the batch still
-    leaves undecided, so the counts are those of the per-sample reader.
-    A seed that is not base 3 is refused before any read."""
+    undecided again at 4x the places, up to 3^(n_max-1) and past it while
+    the seed holds the q2 blocks a read needs; the constructor,
+    ``_qutrit_leading_digit``, builds the rows the batch cannot read, so
+    the counts are those of ``qutrit_state``.  A seed that is not base 3
+    is refused before any read."""
     if n_samples < 1:
         raise ValueError("the trace rule needs at least one sample")
     cfg = cfg or default_qutrit_config()

@@ -24,7 +24,7 @@ from digitq.experiments import (ExperimentReport, SampleGrid, Statistic,
                                 _trace_sources)
 from digitq.phase import (BlockOperator, PAdicRational, _rotated_rows, _rotation_operator_cached,
                           apply, extend_to, omega_root, operator_pow, phase_rotate)
-from digitq.reduction import (K_GUARD, BinaryThreshold, _angle_float, _deletion_mask, _euler_step,
+from digitq.reduction import (BinaryThreshold, _angle_float, _deletion_mask, _euler_step,
                               _reduced_values, _window_u64, partial_reduce, reduce_compound,
                               weak_reduction_walk)
 from digitq.rng import derive_seed, make_rng
@@ -301,13 +301,16 @@ class TestTraceRule:
 
     @staticmethod
     def _assert_fast_path_matches(qcfg, angle_pairs, depth1, depth2, rng):
+        # one row per call: the batch's reads of a single sample
         for th1, th2 in angle_pairs:
-            q1 = PAdicRational(3, int(rng.integers(0, 3 ** depth1)), depth1)
-            q2 = PAdicRational(2, int(rng.integers(0, 1 << depth2)), depth2)
-            ang = QutritAngles(th1, th2, q1, q2)
+            e1 = int(rng.integers(0, 3 ** depth1))
+            e2 = int(rng.integers(0, 1 << depth2))
+            ang = QutritAngles(th1, th2, PAdicRational(3, e1, depth1),
+                               PAdicRational(2, e2, depth2))
             t1, t2 = qutrit_thresholds(th1, th2)
-            fast = _qutrit_leading_digit(qcfg, t1, t2, q1, q2)
-            assert fast == qutrit_state(qcfg, ang).leading_digit, (th1, th2, q1, q2)
+            fast = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(depth1, 3),
+                                          SampleGrid(depth2), np.array([e1]), np.array([e2]))
+            assert fast.tolist() == [qutrit_state(qcfg, ang).leading_digit], (th1, th2, e1, e2)
 
     def test_fast_path_matches_constructor(self):
         # random angles, then the suite's anchor pairs: theta1 = pi has
@@ -324,8 +327,9 @@ class TestTraceRule:
                                            depth1, depth2, rng)
 
     def test_fast_path_grows_past_a_zero_run(self):
-        # no nonzero digit in the first 12 triadic blocks, so the harness
-        # must grow its seed prefix before it can read any digit
+        # no nonzero digit in the first 12 triadic blocks, so a row at
+        # triadic numerator 0 must read past them before it can read any
+        # nonzero digit
         rng = numpy_philox(4)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(20)]
@@ -339,19 +343,22 @@ class TestTraceRule:
         ang = QutritAngles(Fraction(1), theta2, Fraction(0), Fraction(0))
         t1, t2 = qutrit_thresholds(Fraction(1), theta2)
         qcfg = undecided_stage1_config(t2)
-        fast = _qutrit_leading_digit(qcfg, t1, t2, PAdicRational(3, 0, 0),
-                                     PAdicRational(2, 0, 0))
-        assert fast == qutrit_state(qcfg, ang).leading_digit
+        zero = np.zeros(1, dtype=np.int64)
+        fast = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(0, 3), SampleGrid(0),
+                                      zero, zero)
+        assert fast.tolist() == [qutrit_state(qcfg, ang).leading_digit]
 
 
 class TestBatchedTraceRule:
-    """The batch is pinned to the per-sample harness, its fallback."""
+    """The batch is pinned to the constructor, ``qutrit_state``, which
+    ``_qutrit_leading_digit`` runs for the rows the batch cannot read."""
 
     SUITE_PAIRS = [(2 * math.acos(1 / math.sqrt(3)), Fraction(1, 2)),
                    (Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(1, 4))]
 
     @staticmethod
     def counting_fallback(monkeypatch):
+        """The arguments of every row the batch leaves to the constructor."""
         rows = []
 
         def per_sample(*args):
@@ -374,57 +381,105 @@ class TestBatchedTraceRule:
         return reads
 
     @staticmethod
-    def assert_batch_matches(qcfg, angle_pairs, depth1, depth2, rng, n=16):
+    def assert_batch_matches(qcfg, angle_pairs, depth1, depth2, rng, n=16, e1_first=()):
+        """n rows per pair, the first of them at the triadic numerators
+        ``e1_first``, against ``qutrit_state``."""
         grid1, grid2 = SampleGrid(depth1, 3), SampleGrid(depth2)
         for th1, th2 in angle_pairs:
             t1, t2 = qutrit_thresholds(th1, th2)
             e1s = rng.integers(0, grid1.modulus, size=n)
+            e1s[:len(e1_first)] = e1_first
             e2s = rng.integers(0, grid2.modulus, size=n)
             got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
-            want = [_qutrit_leading_digit(qcfg, t1, t2, PAdicRational(3, int(e1), depth1),
-                                          PAdicRational(2, int(e2), depth2))
+            want = [qutrit_state(qcfg, QutritAngles(th1, th2, PAdicRational(3, int(e1), depth1),
+                                                    PAdicRational(2, int(e2), depth2))
+                                 ).leading_digit
                     for e1, e2 in zip(e1s, e2s)]
             assert got.tolist() == want, (th1, th2)
 
     @pytest.mark.parametrize("depth1,depth2", [(5, 9), (7, 12)])
     def test_matches_the_harness(self, monkeypatch, depth1, depth2):
+        # the constructor takes a few ms a row on the default seed, so
+        # each pair checks few rows
         rng = numpy_philox(5)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(25)]
         fallback = self.counting_fallback(monkeypatch)
         self.assert_batch_matches(default_qutrit_config(), self.SUITE_PAIRS + pairs,
-                                  depth1, depth2, rng)
+                                  depth1, depth2, rng, n=4)
         assert fallback == []  # the default seed decides every row in the batch
 
-    def test_zero_run_seed_falls_back_and_agrees(self, monkeypatch):
-        # no nonzero digit in the first 12 triadic blocks: the batch's 729
-        # places are a rotated zero block, which leaves some rows undecided
+    def test_zero_run_seed_regrows_past_w_inside_the_batch(self, monkeypatch):
+        # no nonzero digit in the first 12 triadic blocks: the first W = 729
+        # places are a rotated zero block, whose nonzero digits are the
+        # triadic odometer's shifts alone.  A small numerator shifts few
+        # places, so rows there can hold too few nonzero digits to decide
+        # in W places; they read again at 4W and 16W places inside the
+        # batch, and none reaches the constructor
+        reads = self.recording_reads(monkeypatch)
         fallback = self.counting_fallback(monkeypatch)
         rng = numpy_philox(4)
         pairs = [(float(rng.uniform(0.2, 2.9)), float(rng.uniform(0.2, 2.9)))
                  for _ in range(20)]
-        self.assert_batch_matches(zero_run_config(), pairs, 7, 12, rng, n=64)
-        assert fallback
+        self.assert_batch_matches(zero_run_config(), pairs, 7, 12, rng, n=16,
+                                  e1_first=(1, 2, 3))
+        W = 3 ** 6
+        assert {places for _, places in reads if places > W} == {4 * W, 16 * W}
+        assert fallback == []
+
+    def test_rows_decided_early_are_not_read_again_past_w(self, monkeypatch):
+        # one call on the zero-run seed: at theta2 = 9pi/10 the rows at
+        # triadic numerator 1 read again up to 16W places, and the rows 32
+        # places decide are in no later read
+        reads = self.recording_reads(monkeypatch)
+        fallback = self.counting_fallback(monkeypatch)
+        th1, th2 = Fraction(1, 2), Fraction(9, 10)
+        t1, t2 = qutrit_thresholds(th1, th2)
+        qcfg, grid1, grid2 = zero_run_config(), SampleGrid(7, 3), SampleGrid(12)
+        e1s = make_rng(25).integers(0, grid1.modulus, size=32)
+        e1s[::8] = 1
+        e2s = numpy_philox(25).choice(grid2.modulus, size=32, replace=False)
+        got = _qutrit_leading_digits(qcfg, t1, t2, grid1, grid2, e1s, e2s)
+        read_at = {}
+        for rows, places in reads:
+            read_at.setdefault(places, set()).update(rows)
+        W = 3 ** 6
+        assert read_at[32] == set(e2s.tolist())
+        decided_at_32 = read_at[32] - read_at[128]
+        past_w = set().union(*(rows for places, rows in read_at.items() if places > W))
+        assert len(decided_at_32) > 16 and set(e2s[e1s == 1].tolist()) == past_w
+        assert not decided_at_32 & past_w and max(read_at) == 16 * W
+        assert fallback == []
+        for lead, e1, e2 in zip(got, e1s, e2s):
+            ang = QutritAngles(th1, th2, PAdicRational(3, int(e1), 7),
+                               PAdicRational(2, int(e2), 12))
+            assert lead == qutrit_state(qcfg, ang).leading_digit
 
     @pytest.mark.parametrize("theta2", [0.5, 2.5])
     def test_one_place_window_falls_back_for_every_row(self, monkeypatch, theta2):
-        # n_max = 1 leaves the batch one place per row, never 64 stage-1 digits
+        # n_max = 1 leaves the batch one place per row up to W = 1; past it
+        # the rows regrow 4x, but the first 4096 places hold only t2's first
+        # 50 digits, so no stage-1 comparison settles, and the next read,
+        # the whole seed, is not made: every row goes to the constructor
         t1, t2 = qutrit_thresholds(Fraction(1), theta2)
         qcfg = undecided_stage1_config(t2)
+        reads = self.recording_reads(monkeypatch)
         fallback = self.counting_fallback(monkeypatch)
         zero = np.zeros(3, dtype=np.int64)
         got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(0, 3), SampleGrid(0),
                                      zero, zero)
+        assert [places for _, places in reads] == [4 ** k for k in range(7)]
         assert len(fallback) == 3
         ang = QutritAngles(Fraction(1), theta2, Fraction(0), Fraction(0))
         assert got.tolist() == 3 * [qutrit_state(qcfg, ang).leading_digit]
 
-    def test_stage1_prefix_short_of_a_window_falls_back(self, monkeypatch):
+    def test_stage1_prefix_short_of_a_window_regrows_past_w(self, monkeypatch):
         # the first 729 places hold a zero and then t2's first 40 digits as
         # nonzero digits, so the first stage-1 window stays open in every
-        # read: the row regrows through each read size to W and goes to the
-        # per-sample reader.  Read zero padded, its window would want a
-        # zero where the state leads with a nonzero digit
+        # read up to W: the row regrows through each read size to W, and
+        # the Champernowne digits at 4W places settle it inside the batch.
+        # Read zero padded, its window would want a zero where the state
+        # leads with a nonzero digit
         t1, t2 = qutrit_thresholds(2.9, 1.0)
         digits = np.zeros(3 ** 8, dtype=np.uint8)
         digits[1:41] = spelled(t2, 40) + 1
@@ -436,15 +491,17 @@ class TestBatchedTraceRule:
         zero = np.zeros(1, dtype=np.int64)
         got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(0, 3), SampleGrid(0),
                                      zero, zero)
-        assert [places for _, places in reads] == [32, 128, 512, 729]
-        assert len(fallback) == 1
+        assert [places for _, places in reads] == [32, 128, 512, 729, 4 * 729]
+        assert fallback == []
         assert got.tolist() == [qutrit_state(qcfg, ang).leading_digit] == [2]
 
     def test_seed_short_of_a_q2_block_falls_back_for_every_row(self, monkeypatch):
-        # 3^7 seed digits hold no whole depth-12 block of 2048 nonzero ones;
-        # even numerators reduce to depth 11, where the harness reads them
+        # 3^7 seed digits hold no whole depth-12 block of 2048 nonzero ones,
+        # so the batch makes no read; even numerators reduce to depth 11,
+        # where the constructor builds them
         qcfg = StateConfig(champernowne(3, 3 ** 7), n_max=7, inner_dyadic_depth=12)
         assert np.count_nonzero(qcfg.seed_string.digits) < 2048
+        reads = self.recording_reads(monkeypatch)
         fallback = self.counting_fallback(monkeypatch)
         rng = make_rng(7)
         e1s = rng.integers(0, 3 ** 7, size=8)
@@ -452,11 +509,17 @@ class TestBatchedTraceRule:
         t1, t2 = qutrit_thresholds(Fraction(1, 2), Fraction(1, 3))
         got = _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(7, 3), SampleGrid(12),
                                      e1s, e2s)
-        assert len(fallback) == 8
+        assert reads == [] and len(fallback) == 8
         for lead, e1, e2 in zip(got, e1s, e2s):
             ang = QutritAngles(Fraction(1, 2), Fraction(1, 3), PAdicRational(3, int(e1), 7),
                                PAdicRational(2, int(e2), 12))
             assert lead == qutrit_state(qcfg, ang).leading_digit
+        # an odd numerator stays at depth 12: the constructor has no whole
+        # q2 block to rotate (LengthNotDivisible), and the statistic is degenerate
+        with pytest.raises(DegenerateStatistic) as raised:
+            _qutrit_leading_digits(qcfg, t1, t2, SampleGrid(7, 3), SampleGrid(12),
+                                   e1s[:1], np.array([2 * int(e2s[0]) + 1]))
+        assert isinstance(raised.value.__cause__, LengthNotDivisible)
 
     @pytest.mark.parametrize("length", [3 ** 7, 3 ** 8])
     def test_seed_without_a_nonzero_digit_is_degenerate(self, length):
@@ -570,7 +633,9 @@ class TestTraceRows:
         want = [_qutrit_pipeline(d, PAdicRational(3, int(e1), depth1),
                                  PAdicRational(2, int(e2), depth2))
                 for e1, e2 in zip(e1s, e2s)]
-        for P in (256, W):
+        for P in (256, W, 4 * W):
+            if P > W:  # the sources past W, as the batch builds them
+                rank, bits0 = _trace_sources(d, P, depth2)
             rows = _trace_rows(d, rank, bits0, grid1, grid2, e1s, e2s, P)
             assert rows.shape == (10, P)
             for row, full in zip(rows, want):
@@ -596,20 +661,10 @@ class TestStage1Read:
             return -1
 
     def assert_leads(self, rows, t1, t2, rng):
-        """Whole rows lead as the oracle does (-1 exactly where it reduces
-        to nothing); a prefix's lead holds whatever digits follow it.
-        Returns the numbers of whole-row and continued checks."""
-        whole_checks = continued_checks = 0
-        for row, lead in zip(rows, _stage1_leads(rows, t1, t2, True)):
-            if np.count_nonzero(row) < K_GUARD:
-                continue
-            try:
-                want = self.oracle_lead(row, t1, t2)
-            except SuffixTooShort:
-                continue
-            assert lead == want
-            whole_checks += 1
-        for row, lead in zip(rows, _stage1_leads(rows, t1, t2, False)):
+        """A prefix's lead holds whatever digits follow it.  Returns the
+        number of continued checks."""
+        continued_checks = 0
+        for row, lead in zip(rows, _stage1_leads(rows, t1, t2)):
             if lead < 0:
                 continue
             for _ in range(2):
@@ -620,17 +675,17 @@ class TestStage1Read:
                     continue
                 assert want == lead
                 continued_checks += 1
-        return whole_checks, continued_checks
+        return continued_checks
 
     def test_matches_the_two_stage_reduction(self):
         rng = numpy_philox(18)
-        checks = np.zeros(2, dtype=int)
+        checks = 0
         for _ in range(300):
             rows = self.random_rows(rng, (rng.integers(1, 9), rng.integers(1, 401)))
             t1, t2 = qutrit_thresholds(float(rng.uniform(0.05, 3.1)),
                                        float(rng.uniform(0.05, 3.1)))
             checks += self.assert_leads(rows, t1, t2, rng)
-        assert checks.min() > 500
+        assert checks > 500
 
     def test_matches_at_the_window_edges(self):
         # random rows almost never bring a window within one digit of its
@@ -641,7 +696,7 @@ class TestStage1Read:
         # 63 digits, the last nonzero digits of the row, so the first of
         # them is one digit short of being decided
         rng = numpy_philox(19)
-        checks = np.zeros(2, dtype=int)
+        checks = 0
         for _ in range(100):
             S = rng.integers(1, 9)
             t1, t2 = qutrit_thresholds(float(rng.uniform(0.05, 3.1)), Fraction(1, 2))
@@ -652,7 +707,7 @@ class TestStage1Read:
             zeros = np.zeros((S, rng.integers(64, 338)), dtype=np.uint8)
             last = np.tile(spelled(t2, 63) + 1, (S, 1))
             checks += self.assert_leads(np.hstack([zeros, last]), t1, t2, rng)
-        assert checks.min() > 100
+        assert checks > 100
 
 
 class TestInterference:
