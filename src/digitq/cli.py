@@ -47,6 +47,8 @@ def parse_angle(text: str) -> Fraction:
         raise ValueError(f"cannot parse angle {text!r}; write it like 1/3pi or 0")
     num = int(m.group(1)) if m.group(1) else 1
     den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"{text!r}: the denominator is zero")
     if m.group(3) is None:
         if num != 0:
             raise ValueError(f"{text!r}: angles other than 0 must carry a pi suffix")

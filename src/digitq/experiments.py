@@ -342,14 +342,22 @@ def _trace_sources(d: np.ndarray, cover: int,
     whole depth2 blocks covering one more than the ``cover`` places hold,
     so that the pipeline's rotated string reaches ``cover`` places.  None
     when the seed holds too few nonzero digits, always so when ``cover``
-    reaches the seed's end."""
+    reaches the seed's end.  The bits come from a prefix that reaches past
+    ``cover`` twice as many places as it lacks nonzero digits, doubled
+    until it holds them or is the whole seed."""
     nonzero = d[:cover] != 0
+    count = np.count_nonzero(nonzero)
     block2 = 1 << max(depth2 - 1, 0)
-    need = -(-(np.count_nonzero(nonzero) + 1) // block2) * block2
-    bits0 = d[d != 0][:need] - 1
-    if bits0.size < need:
-        return None
-    return np.maximum(np.cumsum(nonzero, dtype=np.int32) - 1, 0), bits0
+    need = -(-(count + 1) // block2) * block2
+    end = cover + 2 * (need - count)
+    while True:
+        prefix = d[:end]
+        bits0 = prefix[prefix != 0][:need] - 1
+        if bits0.size == need:
+            return np.maximum(np.cumsum(nonzero, dtype=np.int32) - 1, 0), bits0
+        if end >= d.size:
+            return None
+        end *= 2
 
 
 def _trace_rows(d: np.ndarray, rank: np.ndarray, bits0: np.ndarray, grid1: SampleGrid,

@@ -21,16 +21,22 @@ t, since every continuation's window lies between them (``_settled``);
 almost every comparison is settled within a few digits.  That is the one
 rule (``_decided_places``) by which the walk and the trace rule read
 prefixes, and the trace rule settles its stage-2 comparison by it too.
-The windows come from the string packed into big-endian 64-bit words:
-the 64 positions inside a word shift it and pull in the top bits of the
-next word, all in uint64 arithmetic.  Given a matrix, the kernel reads
-each row as its own string, so the grid sweeps' leading window of every
-rotated seed is its one-window row case.  One place budget,
-_READ_PLACES, bounds every vectorized read: a whole-string comparison
-runs the kernel on chunks of that many places, each with the 63 digits
-after it that its last windows reach (``_suffix_ge_mask``), and a read
-of many rows (the walk's, the trace rule's, a grid sweep's) goes in
-parts (``_row_parts``).  Survivors are gathered with ``compress``.
+A comparison at every place (``_suffix_ge_mask``) reads a byte first:
+the string is packed eight digits to a byte, and the first 8 digits at
+each place come from two 256-entry tables, one for the byte the place
+lies in and one for the byte after it.  They settle the comparison
+unless they are t's first 8 digits, about 1 place in 256, and only those
+places read their whole window, the 8-digit bytes at the place and 8,
+16, ..., 56 places after it.  A leading window (a grid sweep's, the trace
+rule's stage-1 window, the tail ``_decided_places`` tests) comes from
+``_window_u64``, the string packed into big-endian 64-bit words: the 64
+positions inside a word shift it and pull in the top bits of the next
+word, all in uint64 arithmetic.  Given a matrix, both read each row as
+its own string, so the grid sweeps' leading window of every rotated seed
+is the one-window row case.  One place budget, _READ_PLACES, bounds a
+read of many rows (the walk's, the trace rule's, a grid sweep's), which
+goes in parts (``_row_parts``); a whole-string comparison costs a byte a
+place and is one read.  Survivors are gathered with ``compress``.
 
 The thresholds themselves are Python-integer fixed point: cos^2(theta/2)
 = (1 + cos theta)/2 from a cached Machin pi, a Taylor series at theta/16
@@ -257,6 +263,24 @@ class BinaryThreshold:
             return np.zeros(windows.shape, dtype=bool)
         return windows >= np.uint64(self.t_int)
 
+    def at_or_below_heads(self, heads: np.ndarray, tie_windows) -> np.ndarray:
+        """``at_or_below`` of windows given by their top bytes ``heads``
+        (uint8, the digits .b_j ... b_(j+7) scaled by 2^8) and
+        ``tie_windows``, which maps the flat indices of the heads equal to
+        t's top byte to those whole windows (as ``at_or_below`` takes them).
+
+        A head above t's top byte puts its window above t, one below puts
+        it below, so only the ties (about 1 in 256 places) are read whole.
+        """
+        if self.is_one:
+            return np.zeros(heads.shape, dtype=bool)
+        top = self.t_int >> (THRESHOLD_BITS - 8)
+        out = heads > top
+        ties = (heads == top).reshape(-1).nonzero()[0]
+        if ties.size:
+            out.reshape(-1)[ties] = self.at_or_below(tie_windows(ties))
+        return out
+
     def __repr__(self) -> str:
         if self.is_one:
             return "BinaryThreshold(1)"
@@ -348,7 +372,10 @@ def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
 
     Rows are packed eight digits to a byte and read as big-endian 64-bit
     words; the window at j = 64i + c is word i shifted left by c, with its
-    last c digits taken from the top of word i+1, for all c at once.
+    last c digits taken from the top of word i+1, for all c at once.  It
+    serves the leading-window reads (the grid sweeps', the trace rule's
+    stage-1 window, the tail of ``_decided_places``); the comparison at
+    every place reads bytes first (``_suffix_ge_mask``).
     """
     nw = -(-length // 64)
     pk = np.zeros(bits.shape[:-1] + (8 * nw + 8,), dtype=np.uint8)
@@ -362,21 +389,48 @@ def _window_u64(bits: np.ndarray, length: int) -> np.ndarray:
     return out.reshape(bits.shape[:-1] + (-1,))[..., :length]
 
 
+def _byte_tables():
+    """HEAD and TAIL, 256-entry uint64 tables: byte c (in memory order) of
+    HEAD[b] is the part of the 8 digits at digit c of the byte b that b
+    holds (its last 8 - c digits, moved up by c), and of TAIL[b] the part
+    that b holds as the next byte (its first c digits); the two are
+    disjoint."""
+    head = bytes((b << c) & 0xFF for b in range(256) for c in range(8))
+    tail = bytes(b >> (8 - c) for b in range(256) for c in range(8))
+    return np.frombuffer(head, dtype=np.uint64), np.frombuffer(tail, dtype=np.uint64)
+
+
+_HEAD, _TAIL = _byte_tables()
+_WINDOW_BYTES = np.arange(0, THRESHOLD_BITS, 8)  # a window's 8 bytes: the heads this many places on
+
+
 def _suffix_ge_mask(bits01: np.ndarray, thr: BinaryThreshold) -> np.ndarray:
     """Boolean mask: suffix at position j (zero padded) >= threshold, of
     each row of ``bits01``.
 
-    The last axis is read _READ_PLACES places at a time, each chunk with
-    the THRESHOLD_BITS - 1 digits after it that its last windows reach, so
-    no window array longer than one chunk is ever built.
+    Byte first: each row is packed eight digits to a byte, and the first
+    8 digits at every place, its head, come from two 256-entry tables, at
+    byte i and digit c HEAD[byte i][c] | TAIL[byte i+1][c].  A head other
+    than t's top byte decides the comparison; where the two tie, the whole
+    window is the heads at the place and at the 7 places 8, 16, ..., 56
+    after it, read from the row's heads followed by THRESHOLD_BITS - 8
+    places of zeros (``BinaryThreshold.at_or_below_heads``).
     """
     n = bits01.shape[-1]
-    out = np.empty(bits01.shape, dtype=bool)
-    for lo in range(0, n, _READ_PLACES):
-        k = min(_READ_PLACES, n - lo)
-        out[..., lo:lo + k] = thr.at_or_below(
-            _window_u64(bits01[..., lo:lo + k + THRESHOLD_BITS - 1], k))
-    return out
+    packed = np.packbits(bits01, axis=-1)
+    nb = packed.shape[-1]
+    words = np.zeros(packed.shape[:-1] + (nb + THRESHOLD_BITS // 8 - 1,), dtype=np.uint64)
+    head = words[..., :nb]
+    _HEAD.take(packed, out=head, mode="clip")  # indices in range; "clip" writes out unbuffered
+    head[..., :-1] |= _TAIL.take(packed[..., 1:])
+    heads = words.view(np.uint8)
+
+    def tie_windows(ties):
+        if ties[-1] >= n:  # past the first row: each place moves to its padded row
+            ties = ties + ties // n * (heads.shape[-1] - n)
+        return heads.reshape(-1).take(ties[:, None] + _WINDOW_BYTES).view(">u8")[:, 0]
+
+    return thr.at_or_below_heads(heads[..., :n], tie_windows)
 
 
 def _deletion_mask(hi_bits: np.ndarray, thr: BinaryThreshold) -> np.ndarray:

@@ -20,10 +20,29 @@ class TestParseAngle:
     def test_valid(self, text, expected):
         assert parse_angle(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "x", "1.5pi", "2", "pi/3"])
+    @pytest.mark.parametrize("text", ["", "x", "1.5pi", "2", "pi/3", "1/0pi", "0/0", "0/0pi"])
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_angle(text)
+
+    @pytest.mark.parametrize("argv", [
+        ["polarization", "--theta", "1/0pi"],
+        ["trace-rule", "--theta2", "1/3pi", "--theta1", "1/0pi"],
+        ["trace-rule", "--theta1", "1/2pi", "--theta2", "1/0pi"],
+        ["epr", "--dtheta", "1/0pi"],
+        ["weak-reduction", "--theta0", "1/0pi"],
+        ["state", "qubit", "--lambda", "0", "--theta", "1/0pi"],
+        ["state", "qubit", "--theta", "1/2pi", "--lambda", "1/0pi"],
+        ["state", "qutrit", "--theta1", "1/2pi", "--theta2", "1/3pi",
+         "--lambda2", "0", "--lambda1", "1/0pi"],
+        ["state", "qutrit", "--theta1", "1/2pi", "--theta2", "1/3pi",
+         "--lambda1", "0", "--lambda2", "1/0pi"],
+    ])
+    def test_zero_denominator_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: invalid parse_angle value: '1/0pi'" in capsys.readouterr().err
 
 
 class TestHelp:

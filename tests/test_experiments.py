@@ -642,6 +642,42 @@ class TestTraceRows:
                 assert np.array_equal(row, full[:P])
 
 
+    @staticmethod
+    def whole_seed_sources(d, cover, depth2):
+        """``_trace_sources`` with the nonzero digits taken from the whole seed."""
+        nonzero = d[:cover] != 0
+        block2 = 1 << max(depth2 - 1, 0)
+        need = -(-(np.count_nonzero(nonzero) + 1) // block2) * block2
+        bits0 = d[d != 0][:need] - 1
+        if bits0.size < need:
+            return None
+        return np.maximum(np.cumsum(nonzero, dtype=np.int32) - 1, 0), bits0
+
+    @pytest.mark.parametrize("config", [
+        default_qutrit_config, zero_run_config,
+        lambda: undecided_stage1_config(qutrit_thresholds(Fraction(1), 0.5)[1])])
+    def test_sources_read_from_a_prefix_equal_the_whole_seed_form(self, config):
+        # the prefix scan stops once it holds the nonzero digits it needs, or
+        # at the seed's end; covers up to the whole seed reach the None case
+        qcfg = config()
+        d = qcfg.seed_string.digits
+        W = 3 ** max(qcfg.n_max - 1, 0)
+        blocks = d.size // W
+        nones = 0
+        for k in sorted({1, 4, 16, 64, blocks // 2, blocks - 1, blocks}):
+            for depth2 in (0, 1, 9, 12, 16):
+                got = _trace_sources(d, k * W, depth2)
+                want = self.whole_seed_sources(d, k * W, depth2)
+                if want is None:
+                    nones += 1
+                    assert got is None, (k, depth2)
+                else:
+                    assert got is not None, (k, depth2)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                    assert got[1].dtype == want[1].dtype
+        assert nones >= 5  # every depth at the whole seed, and more
+
+
 class TestStage1Read:
     """The one stage-1 read, pinned straight to the constructor's
     two-stage reduction on random base-3 rows."""

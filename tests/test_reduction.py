@@ -151,9 +151,10 @@ def mask_thresholds(rng, windows):
 
 
 class TestChunkedSuffixMask:
-    """_suffix_ge_mask reads the last axis in chunks of _READ_PLACES, the
-    one place budget; pinned to the one-shot read and, on short strings,
-    to exact Fractions."""
+    """_suffix_ge_mask on rows around and past _READ_PLACES, the budget of
+    a read in parts, and with that budget set small, which must not change
+    a mask; pinned to the one-shot read and, on short strings, to exact
+    Fractions."""
 
     CHUNK = reduction._READ_PLACES
 
@@ -207,6 +208,119 @@ class TestChunkedSuffixMask:
             for thr in mask_thresholds(rng, _window_u64(bits, shape[-1])):
                 assert np.array_equal(reduction._suffix_ge_mask(bits, thr),
                                       one_shot_ge(bits, thr))
+
+
+def window_thresholds(windows):
+    """0, 1/2, exact one, top bytes 0x00 and 0xFF, and each distinct window
+    of ``windows`` with one unit above and below it."""
+    ts = {0, 1, 1 << 63, (1 << 56) - 1, 0xFF << 56, (1 << 64) - 1, 1 << 64}
+    for w in np.unique(windows).tolist():
+        ts.update(t for t in (w - 1, w, w + 1) if 0 <= t <= 1 << 64)
+    return [BinaryThreshold(t) for t in sorted(ts)]
+
+
+def repeated_byte(byte, n):
+    """n digits of the byte ``byte`` repeated."""
+    return np.unpackbits(np.full(-(-n // 8), byte, dtype=np.uint8))[:n].astype(bool)
+
+
+class TestByteFirstMask:
+    """_suffix_ge_mask settles a place on its first 8 digits unless they
+    are t's top byte, and reads those ties' whole windows; pinned to the
+    one-shot read ``thr.at_or_below(_window_u64(bits, n))``."""
+
+    @staticmethod
+    def assert_matches(bits, thrs):
+        n = bits.shape[-1]
+        w = _window_u64(bits, n)
+        for thr in thrs:
+            got = reduction._suffix_ge_mask(bits, thr)
+            assert got.shape == bits.shape and got.dtype == bool
+            assert np.array_equal(got, thr.at_or_below(w)), thr
+
+    @pytest.mark.parametrize("n", list(range(18)) + list(range(55, 74)))
+    def test_short_and_window_length_rows(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.stack([rng.integers(0, 2, n).astype(bool), np.ones(n, dtype=bool),
+                         np.zeros(n, dtype=bool), repeated_byte(0x9E, n),
+                         np.arange(n) % 3 == 0])
+        thrs = window_thresholds(_window_u64(rows, n)[:, :12])
+        for bits in rows:
+            self.assert_matches(bits, thrs)
+        self.assert_matches(rows, thrs)
+
+    @pytest.mark.parametrize("n", [9, 63, 64, 65, 130, 448])
+    def test_all_ones_rows_tie_at_almost_every_place(self, n):
+        # t's top byte 0xFF: every place but the last 7 ties, and the
+        # windows fall at each place, so each verdict is a tie's to make
+        ones = np.ones(n, dtype=bool)
+        w = _window_u64(ones, n)
+        assert (w >> np.uint64(56) == 0xFF).sum() == n - 7
+        for j in range(max(n - 72, 0), n - 7):
+            t = int(w[j])
+            for thr in (BinaryThreshold(t - 1), BinaryThreshold(t), BinaryThreshold(t + 1)):
+                got = reduction._suffix_ge_mask(ones, thr)
+                assert np.array_equal(got, thr.at_or_below(w))
+                assert got[:j + 1].all() == got[j] == (thr.t_int <= t)
+
+    @pytest.mark.parametrize("byte", [0x00, 0x5A, 0x9E, 0xFF])
+    def test_rows_of_the_top_byte_repeated(self, byte):
+        # places 8i of each row tie with t (every place for 0x00 and 0xFF)
+        for n in (8, 64, 71, 200):
+            bits = repeated_byte(byte, n)
+            w = _window_u64(bits, n)
+            thrs = [BinaryThreshold(int(byte) << 56 | low)
+                    for low in (0, 1, (1 << 56) - 1, int(w[0]) & ((1 << 56) - 1))]
+            self.assert_matches(bits, thrs + window_thresholds(w[::8]))
+
+    def test_matrix_rows_with_different_tie_counts(self):
+        # rows of no, few and almost only ties, each followed by a row that
+        # opens with 1s, so a tie that read its neighbour's digits in place
+        # of its own zero padding would read too high a window
+        rng = np.random.default_rng(3)
+        for n in (9, 17, 56, 64, 71, 448):
+            rows = np.stack([np.ones(n, dtype=bool), rng.integers(0, 2, n).astype(bool),
+                             repeated_byte(0xFF, n), np.zeros(n, dtype=bool),
+                             repeated_byte(0x9E, n), np.ones(n, dtype=bool)])
+            w = _window_u64(rows, n)
+            heads = w >> np.uint64(56)
+            for top in (0x00, 0xFF):
+                assert len(set((heads == top).sum(axis=1).tolist())) > 1
+            thrs = window_thresholds(w[:, max(n - 12, 0):]) + [
+                BinaryThreshold(top << 56 | low) for top in (0x00, 0x9E, 0xFF)
+                for low in (0, 1 << 55)]
+            self.assert_matches(rows, thrs)
+            self.assert_matches(rows.reshape(2, 3, n), thrs)
+
+    def test_ties_read_the_zero_padding_past_a_row_end(self):
+        # a tie within 56 places of a row's end has window bytes past it,
+        # which read 0: t one unit above that zero-filled window is not
+        # reached, where reading 1s there would reach it
+        for n in (8, 16, 40, 63, 100):
+            rows = np.ones((3, n), dtype=bool)
+            w = _window_u64(rows, n)
+            for j in range(max(n - 56, 0), n - 7):
+                for thr in (BinaryThreshold(int(w[0, j]) + 1), BinaryThreshold(int(w[0, j]))):
+                    got = reduction._suffix_ge_mask(rows, thr)
+                    assert np.array_equal(got, thr.at_or_below(w))
+                    assert got[:, j].tolist() == [thr.t_int == int(w[0, j])] * 3
+
+    @given(st.integers(1, 4), st.integers(0, 90), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 0.1, 0.9]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_thresholds_from_the_rows_own_windows(self, nrows, n, seed, p, data):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((nrows, n)) < p
+        w = _window_u64(rows, n)
+        if n:
+            r, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, n - 1))
+            t = int(w[r, j]) + data.draw(st.sampled_from([-1, 0, 1]))
+        else:
+            t = data.draw(st.integers(0, 1 << 64))
+        thr = BinaryThreshold(min(max(t, 0), 1 << 64))
+        got = reduction._suffix_ge_mask(rows, thr)
+        assert np.array_equal(got, thr.at_or_below(w))
+        assert np.array_equal(reduction._deletion_mask(rows, thr), rows ^ got)
 
 
 class TestRowParts:
